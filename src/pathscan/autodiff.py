@@ -65,11 +65,6 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
-def tensor(data, requires_grad: bool = False) -> Tensor:
-    return Tensor(np.array(data, dtype=np.result_type(np.asarray(data), np.float32)),
-                  requires_grad=requires_grad)
-
-
 def _as_tensor(x) -> Tensor:
     return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
 
@@ -280,7 +275,7 @@ _GELU_C = float(np.sqrt(2.0 / np.pi))
 def gelu(a: Tensor) -> Tensor:
     a = _as_tensor(a)
     x = a.data
-    inner = _GELU_C * (x + 0.044715 * x ** 3)
+    inner = _GELU_C * (x + 0.044715 * x * x * x)
     t = np.tanh(inner)
     out = 0.5 * x * (1.0 + t)
 
@@ -426,19 +421,12 @@ def adam_step(
 # ---------------------------------------------------------------- checkpoint
 
 
-def save_checkpoint(path, tensors: dict[str, "Tensor | np.ndarray"],
-                    extra_state: AdamState | None = None):
+def save_checkpoint(path, tensors: dict[str, "Tensor | np.ndarray"]):
     """Write the PSCK named-tensor file (float32 payload, trailing CRC32)."""
     items: list[tuple[str, np.ndarray]] = []
     for name, t in tensors.items():
         arr = t.data if isinstance(t, Tensor) else np.asarray(t)
         items.append((name, arr.astype("<f4")))
-    if extra_state is not None:
-        items.append(("__adam_t__", np.array([extra_state.t], dtype="<f4")))
-        for name, arr in extra_state.m.items():
-            items.append((f"__adam_m__{name}", arr.astype("<f4")))
-        for name, arr in extra_state.v.items():
-            items.append((f"__adam_v__{name}", arr.astype("<f4")))
 
     body = bytearray()
     body += PSCK_MAGIC
@@ -489,17 +477,3 @@ def load_checkpoint(path) -> dict[str, np.ndarray]:
         pos += 4 * n
         out[name] = arr.reshape(shape).copy()
     return out
-
-
-def split_adam_state(loaded: dict[str, np.ndarray]):
-    """Separate parameter arrays from optimizer state in a loaded checkpoint."""
-    params = {k: v for k, v in loaded.items() if not k.startswith("__adam_")}
-    state = AdamState()
-    if "__adam_t__" in loaded:
-        state.t = int(loaded["__adam_t__"][0])
-        for k, v in loaded.items():
-            if k.startswith("__adam_m__"):
-                state.m[k[len("__adam_m__"):]] = v
-            elif k.startswith("__adam_v__"):
-                state.v[k[len("__adam_v__"):]] = v
-    return params, state

@@ -1,7 +1,8 @@
 """Command-line surface: corpus generation, simplification, training,
 prediction, evaluation, statistics, and rendering.
 
-Exit codes: 0 success, 2 usage error, 3 data error, 4 numeric failure.
+Exit codes: 0 success, 2 usage error, 3 data, file or configuration
+error, 4 numeric failure (a non-finite value in training or inference).
 """
 
 from __future__ import annotations
@@ -17,13 +18,7 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, inference, metrics, pat_h, pat_s
-from .errors import (
-    FormatError,
-    InvalidConfigError,
-    InvalidInputError,
-    NumericError,
-    PathscanError,
-)
+from .errors import InvalidInputError, NumericError, PathscanError
 from .features import SyntheticFeatureProvider
 from .io import (
     VERSION,
@@ -111,12 +106,21 @@ def load_corpus(corpus_dir: str):
 
 
 def cmd_simplify(args) -> int:
+    """Simplify each trajectory with its WSI's width: ``wsi_width`` from the
+    params file, else the width of ``<wsi_id>.grid`` next to the input."""
     cfg = _load_config(args.config)
     trajectories = read_trajectories(args.infile)
     scanpaths = []
     for traj in trajectories:
-        params = _simplify_params(cfg)
-        scanpaths.append(simplify(traj, params))
+        width = None
+        if "wsi_width" not in cfg:
+            base = Path(args.infile).parent / traj.wsi_id
+            if not base.with_suffix(".grid").exists():
+                raise InvalidInputError(
+                    f"no grade map {base}.grid for {traj.wsi_id} and no "
+                    "wsi_width in the params: the WSI width is unknown")
+            width = load_grade_map(base).width_px
+        scanpaths.append(simplify(traj, _simplify_params(cfg, width)))
     write_scanpaths(args.out, scanpaths, config={"version": VERSION, **cfg})
     return EXIT_OK
 
@@ -178,10 +182,11 @@ def cmd_train_heatmap(args) -> int:
             sps = [sp for sp in scanpaths if sp.wsi_id == wsi_id]
             if not sps:
                 continue
-            gt = pat_h.fixations_to_heatmap(
-                sps, mag, (grid.rows, grid.cols), gm.width_px, gm.height_px
+            fixations = [f for sp in sps for f in sp.fixations if f.mag == mag]
+            gt = pat_h.gaussian_map(
+                fixations, (grid.rows, grid.cols), gm.width_px, gm.height_px
             )
-            items.append((grid, gt))
+            items.append((grid, pat_h.Heatmap(mag, gt)))
         corpus[mag_idx] = items
 
     models, curves = pat_h.train_heatmap(corpus, config)
@@ -256,9 +261,6 @@ def cmd_predict(args) -> int:
         transition_matrix=tm,
     )
     if result.aborted:
-        if not result.scanpath.fixations:
-            print(f"numeric error: rollout aborted: {result.reason}", file=sys.stderr)
-            return EXIT_NUMERIC
         print(
             f"warning: rollout aborted early ({result.reason}); "
             f"writing {len(result.scanpath)} fixations",

@@ -8,15 +8,13 @@ embeddings enter through the PSFT binary format instead.
 
 from __future__ import annotations
 
-import math
 import struct
-import zlib
 from dataclasses import dataclass
 
 import numpy as np
 
 from .errors import FormatError, InvalidConfigError, RangeError
-from .synth import BACKGROUND, GradeMap
+from .synth import GradeMap
 from .trajectory import MagLevel
 
 PSFT_MAGIC = b"PSFT"
@@ -51,29 +49,6 @@ class FeatureGrid:
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1, self.dim)
-
-
-def patchify(gm: GradeMap, mag: MagLevel, patch_px: int) -> np.ndarray:
-    """Label histograms of non-overlapping patches, padded with Background.
-
-    Returns (rows, cols, 5) with each histogram normalized to sum 1.
-    ``patch_px`` must be a whole multiple of the map's cell size.
-    """
-    if patch_px <= 0:
-        raise InvalidConfigError("patch_px must be positive")
-    if patch_px % gm.cell_size != 0:
-        raise InvalidConfigError("patch_px must be a multiple of the cell size")
-    k = int(patch_px // gm.cell_size)  # cells per patch side
-    h, w = gm.grid.shape
-    rows = math.ceil(h / k)
-    cols = math.ceil(w / k)
-    padded = np.full((rows * k, cols * k), BACKGROUND, dtype=np.int8)
-    padded[:h, :w] = gm.grid
-    hist = np.zeros((rows, cols, 5), dtype=np.float64)
-    blocks = padded.reshape(rows, k, cols, k)
-    for label in range(5):
-        hist[:, :, label] = (blocks == label).sum(axis=(1, 3))
-    return hist / (k * k)
 
 
 def embed(histograms: np.ndarray, dim: int, seed: int) -> np.ndarray:
@@ -117,18 +92,20 @@ def load_features(path) -> FeatureGrid:
     return FeatureGrid(MagLevel(mag_idx), data.copy(), patch_px)
 
 
+def cell_of(
+    x: float, y: float, rows: int, cols: int, width: float, height: float
+) -> tuple[int, int]:
+    """(row, col) of the patch containing (x, y) on a rows x cols grid that
+    spans width x height; a point on a patch boundary belongs to the patch
+    that starts there, and the far edges clamp to the last patch."""
+    return min(int(y / height * rows), rows - 1), min(int(x / width * cols), cols - 1)
+
+
 def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
-    """Token of the patch containing (x, y); boundaries go to the lower patch."""
+    """Token of the patch containing (x, y), as placed by ``cell_of``."""
     if not (0 <= x < grid.width_px and 0 <= y < grid.height_px):
         raise RangeError(f"({x}, {y}) outside WSI bounds")
-    c = _patch_index(x, grid.patch_px, grid.cols)
-    r = _patch_index(y, grid.patch_px, grid.rows)
-    return grid.data[r, c]
-
-
-def _patch_index(coord: float, patch_px: float, n: int) -> int:
-    idx = math.ceil(coord / patch_px) - 1
-    return min(max(idx, 0), n - 1)
+    return grid.data[cell_of(x, y, grid.rows, grid.cols, grid.width_px, grid.height_px)]
 
 
 class FeatureProvider:
@@ -145,10 +122,7 @@ class SyntheticFeatureProvider(FeatureProvider):
     side at 1X), capped at ``max_side`` per side so self-attention over a
     grid stays tractable at high magnifications.  One projection matrix
     is shared across all grids so equal histograms map to equal tokens
-    everywhere.  A positive ``jitter`` adds a seeded per-patch component
-    on top of the grade embedding, making every patch unique (as with
-    embeddings of real image patches) while same-grade patches stay
-    highly similar (cosine ~ 1 / (1 + jitter^2)).
+    everywhere.
     """
 
     def __init__(
@@ -158,18 +132,14 @@ class SyntheticFeatureProvider(FeatureProvider):
         base_grid: int = 8,
         seed: int = 0,
         max_side: int = 32,
-        jitter: float = 0.0,
     ):
         if dim < 8:
             raise InvalidConfigError("embedding dim must be >= 8")
-        if jitter < 0:
-            raise InvalidConfigError("jitter must be >= 0")
         self.grade_maps = grade_maps
         self.dim = dim
         self.base_grid = base_grid
         self.seed = seed
         self.max_side = max_side
-        self.jitter = jitter
         self._cache: dict[tuple[str, int], FeatureGrid] = {}
 
     def get(self, wsi_id: str, mag: MagLevel) -> FeatureGrid:
@@ -183,16 +153,6 @@ class SyntheticFeatureProvider(FeatureProvider):
         side = min(self.base_grid * mag.factor, self.max_side)
         hist = self._histograms(gm, side)
         tokens = embed(hist, self.dim, self.seed)
-        if self.jitter > 0:
-            rng = np.random.default_rng(
-                [self.seed, zlib.crc32(wsi_id.encode()), mag.index]
-            )
-            tokens = tokens + self.jitter * rng.standard_normal(
-                tokens.shape
-            ).astype(np.float32)
-            norms = np.linalg.norm(tokens, axis=-1, keepdims=True)
-            norms[norms == 0] = 1.0
-            tokens = (tokens / norms).astype(np.float32)
         patch_px = gm.width_px / side
         return FeatureGrid(mag, tokens, patch_px)
 

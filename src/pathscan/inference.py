@@ -20,7 +20,6 @@ class IorState:
     visited: list[tuple[float, float, int]] = field(default_factory=list)
     radius_px: float = 1.0
     decay: float = 0.0  # multiplicative suppression inside the disk
-    window: int | None = None  # None = whole-rollout persistence
 
     def __post_init__(self):
         if self.radius_px <= 0:
@@ -30,8 +29,6 @@ class IorState:
 
     def visit(self, x: float, y: float, mag: MagLevel):
         self.visited.append((x, y, mag.index))
-        if self.window is not None and len(self.visited) > self.window:
-            self.visited = self.visited[-self.window :]
 
 
 @dataclass
@@ -133,14 +130,11 @@ def rollout(
     transition_matrix: TransitionMatrix | None = None,
     ior_decay: float = 0.0,
     ior_radius_px: float | None = None,
-    ior_window: int | None = None,
-    deterministic_mag: bool = False,
 ) -> RolloutResult:
     """Generate a scanpath of exactly n fixations, starting centered at 1X.
 
     The default IOR radius is one viewport half-width at the current
-    magnification; suppression persists for the whole rollout unless a
-    window is given.
+    magnification; suppression persists for the whole rollout.
     """
     if n < 1:
         raise InvalidInputError("rollout length must be >= 1")
@@ -151,7 +145,7 @@ def rollout(
     wsi_w, wsi_h = f10x.width_px, f10x.height_px
     rng = np.random.default_rng(seed)
     fixations = [Fixation(wsi_w / 2.0, wsi_h / 2.0, MagLevel(0), 0.0)]
-    ior = IorState(radius_px=1.0, decay=ior_decay, window=ior_window)
+    ior = IorState(radius_px=1.0, decay=ior_decay)
     ior.visit(fixations[0].x, fixations[0].y, fixations[0].mag)
 
     while len(fixations) < n:
@@ -172,7 +166,7 @@ def rollout(
                 reason="degenerate heatmap mid-rollout",
             )
         if mode == "probmag":
-            m = next_mag_probmag(mag_t.data, cur.mag, rng, deterministic_mag)
+            m = next_mag_probmag(mag_t.data, cur.mag, rng)
         else:
             m = next_mag_priormag(transition_matrix, cur.mag, rng)
         fixations.append(Fixation(x, y, m, 0.0))

@@ -7,7 +7,6 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 from scipy.stats import rankdata
 
 from .errors import (
@@ -16,8 +15,8 @@ from .errors import (
     InvalidInputError,
     ShapeError,
 )
-from .features import FeatureProvider, token_at
-from .pat_h import Heatmap
+from .features import FeatureProvider, cell_of, token_at
+from .pat_h import Heatmap, gaussian_map
 from .synth import BACKGROUND, GRADE_CHARS, GradeMap
 from .trajectory import Fixation, MagLevel, Scanpath
 
@@ -37,12 +36,7 @@ def _fixation_cells(
     fixations: list[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
 ) -> set[tuple[int, int]]:
     rows, cols = shape
-    cells = set()
-    for f in fixations:
-        r = min(int(f.y / wsi_h * rows), rows - 1)
-        c = min(int(f.x / wsi_w * cols), cols - 1)
-        cells.add((r, c))
-    return cells
+    return {cell_of(f.x, f.y, rows, cols, wsi_w, wsi_h) for f in fixations}
 
 
 def nss(h: Heatmap, fixations: list[Fixation], wsi_w: float, wsi_h: float) -> float:
@@ -140,14 +134,12 @@ def tok_sim_scan(
     gt: Scanpath,
     provider: FeatureProvider,
     wsi_id: str,
-    index_aligned: bool = False,
 ) -> tuple[dict[int, float], float]:
     """Token similarity per magnification level plus the overall score.
 
-    Default matching: each predicted fixation takes its best cosine
-    against the GT fixation tokens at the same level; levels absent from
-    either scanpath are skipped.  ``index_aligned`` compares fixations
-    pairwise by per-level order instead.
+    Each predicted fixation takes its best cosine against the GT fixation
+    tokens at the same level; levels absent from either scanpath are
+    skipped.
     """
     per_level: dict[int, float] = {}
     weights: dict[int, int] = {}
@@ -160,11 +152,7 @@ def tok_sim_scan(
         grid = provider.get(wsi_id, mag)
         ptoks = [token_at(grid, f.x, f.y) for f in pf]
         gtoks = [token_at(grid, f.x, f.y) for f in gf]
-        if index_aligned:
-            k = min(len(ptoks), len(gtoks))
-            scores = [_cosine(ptoks[i], gtoks[i]) for i in range(k)]
-        else:
-            scores = [max(_cosine(p, g) for g in gtoks) for p in ptoks]
+        scores = [max(_cosine(p, g) for g in gtoks) for p in ptoks]
         per_level[idx] = float(np.mean(scores))
         weights[idx] = len(pf)
     if not per_level:
@@ -222,27 +210,7 @@ def mag_change_accuracy(
 
 
 def scanpath_to_heatmap(
-    sp: Scanpath,
-    shape: tuple[int, int],
-    wsi_w: float,
-    wsi_h: float,
-    k_sigma: float | None = None,
+    sp: Scanpath, shape: tuple[int, int], wsi_w: float, wsi_h: float
 ) -> Heatmap:
-    """Gaussian-blob map of a scanpath, sigma per fixation magnification."""
-    rows, cols = shape
-    if rows <= 0 or cols <= 0:
-        raise InvalidInputError("heatmap shape must be positive")
-    if k_sigma is None:
-        k_sigma = cols / 8.0
-    acc = np.zeros((rows, cols), dtype=np.float64)
-    by_mag: dict[int, np.ndarray] = {}
-    for f in sp.fixations:
-        r = min(int(f.y / wsi_h * rows), rows - 1)
-        c = min(int(f.x / wsi_w * cols), cols - 1)
-        by_mag.setdefault(f.mag.index, np.zeros((rows, cols)))[r, c] += 1.0
-    for idx, deltas in by_mag.items():
-        acc += gaussian_filter(deltas, sigma=k_sigma / MagLevel(idx).factor,
-                               mode="constant")
-    if acc.max() > 0:
-        acc /= acc.max()
-    return Heatmap(MagLevel(0), acc)
+    """``gaussian_map`` of all of a scanpath's fixations, as a Heatmap."""
+    return Heatmap(MagLevel(0), gaussian_map(sp.fixations, shape, wsi_w, wsi_h))

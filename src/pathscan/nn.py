@@ -72,8 +72,8 @@ def init_encoder_layer(params: dict, prefix: str, dim: int,
 
 def encoder_layer(params: dict, prefix: str, x: ad.Tensor, heads: int) -> ad.Tensor:
     """Pre-LN self-attention block."""
-    x = ad.add(x, attention(params, f"{prefix}.attn",
-                            ad.layernorm(x), ad.layernorm(x), heads))
+    h = ad.layernorm(x)
+    x = ad.add(x, attention(params, f"{prefix}.attn", h, h, heads))
     return ad.add(x, ffn(params, f"{prefix}.ffn", ad.layernorm(x)))
 
 

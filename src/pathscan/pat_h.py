@@ -3,24 +3,26 @@
 A transformer encoder over patch tokens with learned positional
 embeddings, decoded by a per-patch linear head into attention scores.
 Trained with a 1 - Pearson-correlation loss against ground-truth
-heatmaps built by Gaussian-smoothing the fixation map (kernel width
-inversely proportional to the magnification factor).
+heatmaps built by ``gaussian_map`` from the fixations at each
+magnification (kernel width inversely proportional to the magnification
+factor).
 """
 
 from __future__ import annotations
 
 import json
 import warnings
-from dataclasses import dataclass, field
+from collections.abc import Iterable
+from dataclasses import dataclass
 
 import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
 from . import nn
-from .errors import DegenerateInputError, InvalidInputError, ShapeError
-from .features import FeatureGrid
-from .trajectory import MagLevel, Scanpath
+from .errors import DegenerateInputError, InvalidConfigError, InvalidInputError, ShapeError
+from .features import FeatureGrid, cell_of
+from .trajectory import Fixation, MagLevel
 
 
 @dataclass
@@ -36,9 +38,9 @@ class HeatmapModelConfig:
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
-            raise InvalidInputError("dim must be divisible by heads")
+            raise InvalidConfigError("dim must be divisible by heads")
         if self.layers < 0:
-            raise InvalidInputError("layers must be >= 0")
+            raise InvalidConfigError("layers must be >= 0")
 
 
 @dataclass
@@ -53,6 +55,34 @@ class Heatmap:
     @property
     def cols(self) -> int:
         return self.values.shape[1]
+
+
+def gaussian_map(
+    fixations: Iterable[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
+) -> np.ndarray:
+    """Gaussian-smoothed fixation map on a (rows, cols) grid, peak exactly 1.
+
+    One delta per fixation at its ``cell_of`` cell; the deltas of each
+    magnification m are blurred with sigma(m) = cols / 8 / factor(m) (one
+    eighth of the map width at 1X) and the blurred maps are summed in
+    first-seen magnification order, then max-normalized.  No fixations
+    give an all-zero map.
+    """
+    rows, cols = shape
+    if rows <= 0 or cols <= 0:
+        raise InvalidInputError("heatmap shape must be positive")
+    deltas: dict[int, np.ndarray] = {}
+    for f in fixations:
+        cell = cell_of(f.x, f.y, rows, cols, wsi_w, wsi_h)
+        deltas.setdefault(f.mag.index, np.zeros(shape))[cell] += 1.0
+    acc = np.zeros(shape)
+    if not deltas:
+        warnings.warn("no fixations; returning an all-zero map")
+        return acc
+    for idx, d in deltas.items():
+        sigma = cols / 8.0 / MagLevel(idx).factor
+        acc += gaussian_filter(d, sigma=sigma, mode="constant")
+    return acc / acc.max()
 
 
 def init_heatmap_params(
@@ -130,40 +160,6 @@ def loss_cc(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
     if den.item() == 0:
         raise DegenerateInputError("cc loss undefined for constant prediction")
     return ad.sub(1.0, ad.mul(num, ad.pow_const(den, -1.0)))
-
-
-def fixations_to_heatmap(
-    scanpaths: list[Scanpath],
-    mag: MagLevel,
-    shape: tuple[int, int],
-    wsi_w: float,
-    wsi_h: float,
-    k_sigma: float | None = None,
-) -> Heatmap:
-    """Gaussian-smoothed fixation map at one magnification, max-normalized.
-
-    sigma(m) = k_sigma / factor(m); the default k_sigma puts sigma at one
-    eighth of the map width at 1X.
-    """
-    rows, cols = shape
-    if k_sigma is None:
-        k_sigma = cols / 8.0
-    acc = np.zeros((rows, cols), dtype=np.float64)
-    count = 0
-    for sp in scanpaths:
-        for f in sp.fixations:
-            if f.mag != mag:
-                continue
-            r = min(int(f.y / wsi_h * rows), rows - 1)
-            c = min(int(f.x / wsi_w * cols), cols - 1)
-            acc[r, c] += 1.0
-            count += 1
-    if count == 0:
-        warnings.warn(f"no fixations at {mag.factor}X; returning all-zero heatmap")
-        return Heatmap(mag, acc)
-    sigma = k_sigma / mag.factor
-    acc = gaussian_filter(acc, sigma=sigma, mode="constant")
-    return Heatmap(mag, acc / acc.max())
 
 
 def train_heatmap(

@@ -15,12 +15,17 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
-from . import nn
-from .errors import ContractError, InvalidInputError, RangeError, ShapeError
-from .features import FeatureGrid, token_at
+from . import nn, pat_h
+from .errors import (
+    ContractError,
+    InvalidConfigError,
+    InvalidInputError,
+    RangeError,
+    ShapeError,
+)
+from .features import FeatureGrid, cell_of, token_at
 from .trajectory import MagLevel, Fixation, Scanpath
 
 TEMPORAL_CAP = 150  # matches the simplification fixation cap
@@ -40,15 +45,14 @@ class ScanpathModelConfig:
     epochs: int = 30
     seed: int = 0
     dtype: type = np.float32
-    k_sigma: float | None = None  # default: grid cols / 8 at 1X
 
     def __post_init__(self):
         if self.focal_gamma <= 0 or self.focal_beta <= 0:
-            raise InvalidInputError("focal exponents must be positive")
+            raise InvalidConfigError("focal exponents must be positive")
         if self.lambda_mag < 0:
-            raise InvalidInputError("lambda_mag must be >= 0")
+            raise InvalidConfigError("lambda_mag must be >= 0")
         if self.model_dim % self.heads != 0:
-            raise InvalidInputError("model_dim must be divisible by heads")
+            raise InvalidConfigError("model_dim must be divisible by heads")
 
 
 def init_scanpath_params(
@@ -83,8 +87,7 @@ def init_scanpath_params(
 
 
 def _pos_index(f2x: FeatureGrid, x: float, y: float) -> int:
-    r = min(int(y / f2x.height_px * f2x.rows), f2x.rows - 1)
-    c = min(int(x / f2x.width_px * f2x.cols), f2x.cols - 1)
+    r, c = cell_of(x, y, f2x.rows, f2x.cols, f2x.width_px, f2x.height_px)
     return r * f2x.cols + c
 
 
@@ -237,26 +240,8 @@ def forward_step(
     return heat, mags
 
 
-def target_heatmap(
-    shape: tuple[int, int],
-    cell: tuple[int, int],
-    mag: MagLevel,
-    k_sigma: float | None = None,
-) -> np.ndarray:
-    """Ground-truth next-fixation map: Gaussian blob, peak exactly 1."""
-    rows, cols = shape
-    if k_sigma is None:
-        k_sigma = cols / 8.0
-    acc = np.zeros((rows, cols))
-    acc[cell] = 1.0
-    acc = gaussian_filter(acc, sigma=k_sigma / mag.factor, mode="constant")
-    return acc / acc.max()
-
-
 def fixation_cell(f10x: FeatureGrid, f: Fixation) -> tuple[int, int]:
-    r = min(int(f.y / f10x.height_px * f10x.rows), f10x.rows - 1)
-    c = min(int(f.x / f10x.width_px * f10x.cols), f10x.cols - 1)
-    return r, c
+    return cell_of(f.x, f.y, f10x.rows, f10x.cols, f10x.width_px, f10x.height_px)
 
 
 def prefix_examples(scanpaths: list[tuple[str, Scanpath]]):
@@ -320,8 +305,8 @@ def train_scanpath(
             cell = fixation_cell(f10x, target)
             key = (wsi_id, cell[0], cell[1], target.mag.index)
             if key not in y_cache:
-                y_cache[key] = target_heatmap(
-                    (f10x.rows, f10x.cols), cell, target.mag, config.k_sigma
+                y_cache[key] = pat_h.gaussian_map(
+                    [target], (f10x.rows, f10x.cols), f10x.width_px, f10x.height_px
                 )
             ad.zero_grads(params)
             heat, mags = forward_step(params, config, f2x, f10x, sp.fixations[:k])
@@ -346,8 +331,6 @@ def _stage_features(provider, wsi_id: str, mag: MagLevel, stage1_models,
         return grid
     if stage1_config is None:
         raise InvalidInputError("stage1_config required when stage1_models given")
-    from . import pat_h
-
     s1_params = {k: ad.Tensor(v) for k, v in stage1_models[mag.index].items()}
     z = pat_h.encode(grid, s1_params, stage1_config)
     data = z.data.reshape(grid.rows, grid.cols, grid.dim).astype(np.float32)

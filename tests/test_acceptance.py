@@ -26,7 +26,7 @@ from pathscan.baselines import (
     random2_scanpath,
 )
 from pathscan.features import FeatureGrid, SyntheticFeatureProvider
-from pathscan.pat_h import Heatmap, HeatmapModelConfig, fixations_to_heatmap, loss_cc, train_heatmap
+from pathscan.pat_h import Heatmap, HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
 from pathscan.synth import DEFAULT_TRANSITION_PRIOR, ReaderProfile, gen_wsi, simulate_reader
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 from test_autodiff import fd_check
@@ -176,7 +176,8 @@ def test_criterion_3_gradient_integrity(capsys):
     params = ps.init_scanpath_params(4, cfg, rng)
     history = [Fixation(200.0, 300.0, MagLevel(1), 100.0),
                Fixation(700.0, 600.0, MagLevel(2), 150.0)]
-    gt = ps.target_heatmap((3, 3), (2, 1), MagLevel(3))
+    gt = gaussian_map([Fixation(500.0, 2500.0 / 3, MagLevel(3), 0.0)], (3, 3),
+                      f10x.width_px, f10x.height_px)  # target cell (2, 1)
 
     def loss_value():
         heat, mags = ps.forward_step(params, cfg, f2x, f10x, history)
@@ -429,9 +430,10 @@ def test_criterion_7_overfit_sanity(capsys):
     for mag_idx in (1, 3):
         mag = MagLevel(mag_idx)
         grid = provider2.get("wsi_000", mag)
-        hm = fixations_to_heatmap(sps2, mag, (grid.rows, grid.cols),
-                                  gm2.width_px, gm2.height_px)
-        corpus[mag_idx] = [(grid, hm)]
+        fixations = [f for sp in sps2 for f in sp.fixations if f.mag == mag]
+        hm = gaussian_map(fixations, (grid.rows, grid.cols),
+                          gm2.width_px, gm2.height_px)
+        corpus[mag_idx] = [(grid, Heatmap(mag, hm))]
     h_cfg = HeatmapModelConfig(dim=16, heads=2, epochs=50, lr=3e-3, seed=0,
                                mags_trained=(1, 3))
     _, curves = train_heatmap(corpus, h_cfg)

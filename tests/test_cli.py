@@ -72,6 +72,27 @@ class TestSimplify:
         assert run("simplify", "--in", str(tmp_path / "nope.jsonl"),
                    "--out", str(tmp_path / "o.jsonl")) == 3
 
+    def test_resimplifying_gen_output_reproduces_its_scanpaths(self, tmp_path):
+        corpus = tmp_path / "c"
+        assert run("gen", "--seed", "7", "--wsis", "4", "--readers", "2",
+                   "--out", str(corpus)) == 0
+        out = tmp_path / "sp.jsonl"
+        assert run("simplify", "--in", str(corpus / "trajectories.jsonl"),
+                   "--out", str(out)) == 0
+        want = read_scanpaths(corpus / "scanpaths.jsonl")
+        assert [sp.fixations for sp in read_scanpaths(out)] == \
+            [sp.fixations for sp in want]
+
+    def test_unknown_width_is_data_error(self, corpus_dir, tmp_path):
+        traj = tmp_path / "trajectories.jsonl"
+        traj.write_bytes((corpus_dir / "trajectories.jsonl").read_bytes())
+        assert run("simplify", "--in", str(traj),
+                   "--out", str(tmp_path / "o.jsonl")) == 3
+        params = tmp_path / "p.cfg"
+        params.write_text("wsi_width = 4096\n")
+        assert run("simplify", "--in", str(traj), "--params", str(params),
+                   "--out", str(tmp_path / "o.jsonl")) == 0
+
 
 class TestUsageErrors:
     def test_unknown_subcommand_exits_2(self):
@@ -83,6 +104,27 @@ class TestUsageErrors:
         with pytest.raises(SystemExit) as e:
             run("render", "--out", "x.svg")
         assert e.value.code == 2
+
+
+@pytest.mark.parametrize("want, argv, cfg", [
+    (0, "stats-mag --scanpaths {c}/scanpaths.jsonl --out {t}/o.csv", None),
+    (2, "frobnicate", None),
+    (3, "stats-mag --scanpaths {t}/missing.jsonl --out {t}/o.csv", None),
+    (3, "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck",
+     "heads = 3\nmodel_dim = 16\n"),
+    (4, "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck",
+     "epochs = 1\nlr = 1e30\ndim = 16\nmodel_dim = 16\nheads = 2\n"),
+], ids=["success", "usage", "data", "config", "numeric"])
+@pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
+def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path):
+    """0 success, 2 usage, 3 data, file or configuration, 4 numeric failure."""
+    if cfg is not None:
+        (tmp_path / "x.cfg").write_text(cfg)
+    try:
+        code = run(*argv.format(c=corpus_dir, t=tmp_path).split())
+    except SystemExit as e:
+        code = e.code
+    assert code == want
 
 
 class TestTrainPredictEval:

@@ -1,45 +1,23 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
+import pathscan.metrics as mx
+import pathscan.pat_s as pat_s
 from pathscan.errors import FormatError, InvalidConfigError, RangeError
 from pathscan.features import (
     FeatureGrid,
     SyntheticFeatureProvider,
+    cell_of,
     embed,
     load_features,
-    patchify,
     save_features,
     token_at,
 )
-from pathscan.synth import GradeMap, gen_wsi
-from pathscan.trajectory import MagLevel
-
-
-def grade_map(w=16, h=16, cell=8.0):
-    return GradeMap(np.zeros((h, w), dtype=np.int8), cell)
-
-
-class TestPatchify:
-    def test_ceil_division_padding(self):
-        # 33 cells wide, 8 cells per patch -> 5 patch columns
-        gm = GradeMap(np.ones((8, 33), dtype=np.int8), 1.0)
-        hist = patchify(gm, MagLevel(0), 8)
-        assert hist.shape == (1, 5, 5)
-        # last column holds 1 real cell and 7 Background pad cells per row
-        assert hist[0, 4, 1] == pytest.approx(8 / 64)
-        assert hist[0, 4, 0] == pytest.approx(56 / 64)
-
-    def test_histograms_normalized(self):
-        gm = gen_wsi(2, 16, 16, cell_size=4.0)
-        hist = patchify(gm, MagLevel(1), 8)
-        assert np.allclose(hist.sum(axis=-1), 1.0)
-
-    def test_patch_px_must_be_cell_multiple(self):
-        gm = grade_map(cell=8.0)
-        with pytest.raises(InvalidConfigError):
-            patchify(gm, MagLevel(0), 12)
-        with pytest.raises(InvalidConfigError):
-            patchify(gm, MagLevel(0), 0)
+from pathscan.pat_h import gaussian_map
+from pathscan.synth import gen_wsi
+from pathscan.trajectory import Fixation, MagLevel
 
 
 class TestEmbed:
@@ -102,11 +80,13 @@ class TestTokenAt:
         g = self.grid()
         assert np.array_equal(token_at(g, 15.0, 25.0), g.data[2, 1])
 
-    def test_boundary_goes_to_lower_patch(self):
+    def test_boundary_belongs_to_patch_it_starts(self):
         g = self.grid()
-        # x exactly on the 10.0 boundary belongs to patch column 0
-        assert np.array_equal(token_at(g, 10.0, 5.0), g.data[0, 0])
-        assert np.array_equal(token_at(g, 20.0, 5.0), g.data[0, 1])
+        # x exactly on the 10.0 boundary starts patch column 1
+        assert np.array_equal(token_at(g, 10.0, 5.0), g.data[0, 1])
+        assert np.array_equal(token_at(g, 20.0, 5.0), g.data[0, 2])
+        # the WSI centre is the corner of four patches: the lower-right one
+        assert np.array_equal(token_at(g, 20.0, 20.0), g.data[2, 2])
 
     def test_origin(self):
         g = self.grid()
@@ -145,3 +125,42 @@ class TestSyntheticProvider:
         g = p.get("w", MagLevel(3))
         assert g.width_px == pytest.approx(maps["w"].width_px)
         assert g.height_px == pytest.approx(maps["w"].height_px)
+
+
+@st.composite
+def grid_and_point(draw):
+    """A provider-style grid (patch side = WSI width / grid side) and a point
+    inside the WSI: anywhere, on a patch corner, or at the centre."""
+    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
+    wsi_w = draw(st.sampled_from([100.0, 1000.0, 4096.0, 6144.0, 8192.0, 12345.6]))
+    patch_px = wsi_w / cols
+    grid = FeatureGrid(MagLevel(3), np.indices((rows, cols)).transpose(1, 2, 0)
+                       .astype(np.float32), patch_px)
+    kind = draw(st.sampled_from(["anywhere", "corner", "centre"]))
+    if kind == "centre":
+        x, y = grid.width_px / 2.0, grid.height_px / 2.0
+    elif kind == "corner":
+        x = draw(st.integers(0, cols - 1)) * patch_px
+        y = draw(st.integers(0, rows - 1)) * patch_px
+    else:
+        x = draw(st.floats(0.0, grid.width_px, exclude_max=True))
+        y = draw(st.floats(0.0, grid.height_px, exclude_max=True))
+    return grid, x, y
+
+
+class TestOnePatchConvention:
+    @settings(max_examples=300, deadline=None)
+    @given(grid_and_point())
+    def test_token_position_target_and_metric_cells_agree(self, case):
+        grid, x, y = case
+        shape = (grid.rows, grid.cols)
+        f = Fixation(x, y, MagLevel(3), 0.0)
+        token = tuple(int(v) for v in token_at(grid, x, y))
+        position = divmod(pat_s._pos_index(grid, x, y), grid.cols)
+        target = pat_s.fixation_cell(grid, f)
+        peak = np.unravel_index(
+            np.argmax(gaussian_map([f], shape, grid.width_px, grid.height_px)), shape)
+        (metric,) = mx._fixation_cells([f], shape, grid.width_px, grid.height_px)
+        assert token == position == target == tuple(peak) == metric
+        assert token == cell_of(x, y, grid.rows, grid.cols,
+                                grid.width_px, grid.height_px)

@@ -48,12 +48,6 @@ class TestIor:
         with pytest.raises(InvalidInputError):
             inf.IorState(radius_px=1.0, decay=1.0)
 
-    def test_window_trims_history(self):
-        s = inf.IorState(radius_px=1.0, window=2)
-        for i in range(5):
-            s.visit(float(i), 0.0, MagLevel(0))
-        assert len(s.visited) == 2 and s.visited[0][0] == 3.0
-
     def test_suppression_moves_argmax(self):
         vals = np.random.default_rng(1).random((6, 6))
         h = heat(vals)

@@ -3,10 +3,10 @@ import pytest
 
 import pathscan.autodiff as ad
 import pathscan.pat_h as pat_h
-from pathscan.errors import DegenerateInputError, ShapeError
+from pathscan.errors import DegenerateInputError, InvalidInputError, ShapeError
 from pathscan.features import FeatureGrid
 from pathscan.pat_h import Heatmap, HeatmapModelConfig
-from pathscan.trajectory import Fixation, MagLevel, Scanpath
+from pathscan.trajectory import Fixation, MagLevel
 
 
 def tiny_grid(rows=3, cols=3, dim=8, seed=0):
@@ -130,27 +130,42 @@ class TestEncode:
 
 class TestFixationsToHeatmap:
     def test_two_distant_fixations_equal_peaks(self):
-        sp = Scanpath("w", "r", [
+        fixations = [
             Fixation(50.0, 50.0, MagLevel(1), 100.0),
             Fixation(1550.0, 1550.0, MagLevel(1), 100.0),
-        ])
-        h = pat_h.fixations_to_heatmap([sp], MagLevel(1), (16, 16), 1600.0, 1600.0)
-        assert h.values[0, 0] == pytest.approx(h.values[15, 15])
-        assert h.values.max() == pytest.approx(1.0)
+        ]
+        h = pat_h.gaussian_map(fixations, (16, 16), 1600.0, 1600.0)
+        assert h[0, 0] == pytest.approx(h[15, 15])
+        assert h.max() == 1.0
 
     def test_sigma_shrinks_with_magnification(self):
-        sp = Scanpath("w", "r", [Fixation(800.0, 800.0, MagLevel(0), 100.0)])
-        sp40 = Scanpath("w", "r", [Fixation(800.0, 800.0, MagLevel(5), 100.0)])
-        h1 = pat_h.fixations_to_heatmap([sp], MagLevel(0), (16, 16), 1600.0, 1600.0)
-        h40 = pat_h.fixations_to_heatmap([sp40], MagLevel(5), (16, 16), 1600.0, 1600.0)
+        f1 = Fixation(800.0, 800.0, MagLevel(0), 100.0)
+        f40 = Fixation(800.0, 800.0, MagLevel(5), 100.0)
+        h1 = pat_h.gaussian_map([f1], (16, 16), 1600.0, 1600.0)
+        h40 = pat_h.gaussian_map([f40], (16, 16), 1600.0, 1600.0)
         # the 40X blob is much more concentrated
-        assert (h40.values > 0.5).sum() < (h1.values > 0.5).sum()
+        assert (h40 > 0.5).sum() < (h1 > 0.5).sum()
+
+    def test_each_magnification_blurred_then_summed(self):
+        from scipy.ndimage import gaussian_filter
+
+        fixations = [Fixation(150.0, 150.0, MagLevel(2), 1.0),
+                     Fixation(650.0, 450.0, MagLevel(0), 1.0)]
+        got = pat_h.gaussian_map(fixations, (8, 8), 800.0, 800.0)
+        d4, d1 = np.zeros((8, 8)), np.zeros((8, 8))
+        d4[1, 1] = d1[4, 6] = 1.0
+        want = (gaussian_filter(d4, sigma=1.0 / 4, mode="constant")
+                + gaussian_filter(d1, sigma=1.0, mode="constant"))
+        assert np.allclose(got, want / want.max())
 
     def test_no_fixations_warns_and_returns_zero(self):
-        sp = Scanpath("w", "r", [Fixation(1.0, 1.0, MagLevel(0), 1.0)])
         with pytest.warns(UserWarning):
-            h = pat_h.fixations_to_heatmap([sp], MagLevel(5), (4, 4), 100.0, 100.0)
-        assert np.array_equal(h.values, np.zeros((4, 4)))
+            h = pat_h.gaussian_map([], (4, 4), 100.0, 100.0)
+        assert np.array_equal(h, np.zeros((4, 4)))
+
+    def test_shape_must_be_positive(self):
+        with pytest.raises(InvalidInputError):
+            pat_h.gaussian_map([], (0, 4), 100.0, 100.0)
 
 
 class TestTraining:

@@ -7,8 +7,15 @@ import pathscan.autodiff as ad
 import pathscan.pat_s as pat_s
 from pathscan.errors import ContractError, RangeError, ShapeError
 from pathscan.features import FeatureGrid
+from pathscan.pat_h import gaussian_map
 from pathscan.pat_s import ScanpathModelConfig
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
+
+
+def target_map(shape, cell, mag):
+    """The next-fixation target: ``gaussian_map`` of one fixation in ``cell``."""
+    (rows, cols), (r, c) = shape, cell
+    return gaussian_map([Fixation(c + 0.5, r + 0.5, mag, 0.0)], shape, cols, rows)
 
 
 def tiny_config(**kw):
@@ -79,7 +86,7 @@ class TestFocalLoss:
 
     def test_gradient_matches_finite_differences(self):
         rng = np.random.default_rng(0)
-        gt = pat_s.target_heatmap((3, 3), (1, 1), MagLevel(3))
+        gt = target_map((3, 3), (1, 1), MagLevel(3))
         pred = ad.Tensor(rng.uniform(0.2, 0.8, (3, 3)), requires_grad=True)
         loss = pat_s.focal_loss(pred, gt)
         ad.backward(loss)
@@ -216,7 +223,7 @@ class TestForwardStep:
         f2x, f10x = tiny_grids()
         params = pat_s.init_scanpath_params(9, config, rng)
         heat, mags = pat_s.forward_step(params, config, f2x, f10x, [fix(500, 500)])
-        gt = pat_s.target_heatmap((4, 4), (1, 2), MagLevel(3))
+        gt = target_map((4, 4), (1, 2), MagLevel(3))
         loss = pat_s.total_loss(
             pat_s.focal_loss(heat, gt),
             pat_s.mag_loss(mags, 3, np.ones(6)),
@@ -230,14 +237,14 @@ class TestForwardStep:
 
 class TestTargetHeatmap:
     def test_peak_is_one_at_cell(self):
-        y = pat_s.target_heatmap((5, 5), (1, 3), MagLevel(3))
+        y = target_map((5, 5), (1, 3), MagLevel(3))
         assert y[1, 3] == pytest.approx(1.0)
         assert y.max() == pytest.approx(1.0)
         assert np.all(y >= 0)
 
     def test_higher_mag_tighter_blob(self):
-        y1 = pat_s.target_heatmap((9, 9), (4, 4), MagLevel(0))
-        y5 = pat_s.target_heatmap((9, 9), (4, 4), MagLevel(5))
+        y1 = target_map((9, 9), (4, 4), MagLevel(0))
+        y5 = target_map((9, 9), (4, 4), MagLevel(5))
         assert (y5 > 0.5).sum() < (y1 > 0.5).sum()
 
 
