@@ -3,6 +3,8 @@ prediction, evaluation, statistics, and rendering.
 
 Exit codes: 0 success, 2 usage error, 3 data, file or configuration
 error, 4 numeric failure (a non-finite value in training or inference).
+``predict`` also exits 3, after writing what it has, when inhibition of
+return empties the heatmap before ``--n`` fixations.
 """
 
 from __future__ import annotations
@@ -46,14 +48,11 @@ def _load_config(path: str | None) -> dict:
     return parse_config(path) if path else {}
 
 
-def _simplify_params(cfg: dict, wsi_width: float | None = None) -> SimplifyParams:
-    kwargs = {}
-    for key in ("th_angle", "th_time", "th_dist", "max_fixations",
-                "literal_dispersion_branch", "wsi_width"):
+def _simplify_params(cfg: dict, wsi_width: float | None) -> SimplifyParams:
+    kwargs = {"wsi_width": wsi_width}
+    for key in ("th_angle", "th_time", "th_dist", "max_fixations", "wsi_width"):
         if key in cfg:
             kwargs[key] = cfg[key]
-    if wsi_width is not None and "wsi_width" not in kwargs:
-        kwargs["wsi_width"] = wsi_width
     return SimplifyParams(**kwargs)
 
 
@@ -177,14 +176,14 @@ def cmd_train_heatmap(args) -> int:
     for mag_idx in config.mags_trained:
         mag = MagLevel(mag_idx)
         items = []
-        for wsi_id, gm in maps.items():
+        for wsi_id in maps:
             grid = provider.get(wsi_id, mag)
             sps = [sp for sp in scanpaths if sp.wsi_id == wsi_id]
             if not sps:
                 continue
             fixations = [f for sp in sps for f in sp.fixations if f.mag == mag]
             gt = pat_h.gaussian_map(
-                fixations, (grid.rows, grid.cols), gm.width_px, gm.height_px
+                fixations, (grid.rows, grid.cols), grid.width_px, grid.height_px
             )
             items.append((grid, pat_h.Heatmap(mag, gt)))
         corpus[mag_idx] = items
@@ -260,18 +259,16 @@ def cmd_predict(args) -> int:
         params, config, f2x, f10x, n, mode=args.mode, seed=args.seed,
         transition_matrix=tm,
     )
-    if result.aborted:
-        print(
-            f"warning: rollout aborted early ({result.reason}); "
-            f"writing {len(result.scanpath)} fixations",
-            file=sys.stderr,
-        )
     sp = Scanpath(args.wsi, f"pat-{args.mode}", result.scanpath.fixations)
     write_scanpaths(
         args.out, [sp], config=corpus_cfg,
         generator={"model": Path(args.ckpt).name, "mode": args.mode,
                    "seed": args.seed, "n": n},
     )
+    if result.aborted:
+        print(f"error: rollout stopped after {len(sp)} of {n} fixations "
+              f"({result.reason})", file=sys.stderr)
+        return EXIT_DATA
     return EXIT_OK
 
 
@@ -286,7 +283,6 @@ def cmd_eval_next(args) -> int:
     for sp in gt_scanpaths:
         if sp.wsi_id not in maps or len(sp) < 2:
             continue
-        gm = maps[sp.wsi_id]
         f2x = provider.get(sp.wsi_id, MagLevel(1))
         f10x = provider.get(sp.wsi_id, MagLevel(3))
         for k in range(1, len(sp)):
@@ -294,7 +290,7 @@ def cmd_eval_next(args) -> int:
             target = sp.fixations[k]
             heat, mags = pat_s.forward_step(params, config, f2x, f10x, history)
             hm = pat_h.Heatmap(MagLevel(3), heat.data)
-            x, y = inference.next_location(hm, gm.width_px, gm.height_px)
+            x, y = inference.next_location(hm, f10x.width_px, f10x.height_px)
             pred_mag = inference.next_mag_probmag(
                 mags.data, history[-1].mag, deterministic=True
             )
@@ -302,7 +298,7 @@ def cmd_eval_next(args) -> int:
 
             pred_fix = Fixation(x, y, pred_mag, 0.0)
             sp_errors.append(
-                metrics.spatial_error(pred_fix, target, gm.width_px, gm.height_px)
+                metrics.spatial_error(pred_fix, target, f10x.width_px, f10x.height_px)
             )
             tok_sims.append(
                 metrics.tok_sim_fix(pred_fix, target, provider, sp.wsi_id)
@@ -343,12 +339,13 @@ def cmd_eval_scanpath(args) -> int:
         if gm is None or not wsi_gts:
             continue
         f10x = provider.get(wsi_id, MagLevel(3))
+        wsi_w, wsi_h = f10x.width_px, f10x.height_px
         pred_map = metrics.scanpath_to_heatmap(
-            pred, (f10x.rows, f10x.cols), gm.width_px, gm.height_px
+            pred, (f10x.rows, f10x.cols), wsi_w, wsi_h
         )
         gt_fix = [f for sp in wsi_gts for f in sp.fixations]
-        nss_v = metrics.nss(pred_map, gt_fix, gm.width_px, gm.height_px)
-        auc_v = metrics.auc_judd(pred_map, gt_fix, gm.width_px, gm.height_px)
+        nss_v = metrics.nss(pred_map, gt_fix, wsi_w, wsi_h)
+        auc_v = metrics.auc_judd(pred_map, gt_fix, wsi_w, wsi_h)
         tok_overall = float(np.mean(
             [metrics.tok_sim_scan(pred, sp, provider, wsi_id)[1] for sp in wsi_gts]
         ))

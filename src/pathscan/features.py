@@ -2,30 +2,27 @@
 
 The synthetic featurizer turns grade-label histograms into unit-norm
 tokens via a seeded random projection, which keeps grades separable so
-the token-similarity metrics are meaningful.  Externally computed
-embeddings enter through the PSFT binary format instead.
+the token-similarity metrics are meaningful.  Every grid spans the
+level-0 frame (width x height pixels) of the WSI it covers.
 """
 
 from __future__ import annotations
 
-import struct
 from dataclasses import dataclass
 
 import numpy as np
 
-from .errors import FormatError, InvalidConfigError, RangeError
+from .errors import InvalidConfigError, RangeError
 from .synth import GradeMap
 from .trajectory import MagLevel
-
-PSFT_MAGIC = b"PSFT"
-PSFT_VERSION = 1
 
 
 @dataclass
 class FeatureGrid:
     mag: MagLevel
     data: np.ndarray  # (rows, cols, dim) float32
-    patch_px: float  # level-0 pixels per patch side
+    width_px: float  # level-0 frame of the WSI the grid spans
+    height_px: float
 
     @property
     def rows(self) -> int:
@@ -40,12 +37,10 @@ class FeatureGrid:
         return self.data.shape[2]
 
     @property
-    def width_px(self) -> float:
-        return self.cols * self.patch_px
-
-    @property
-    def height_px(self) -> float:
-        return self.rows * self.patch_px
+    def patch_px(self) -> float:
+        """Level-0 width of one patch; it is also the patch height only
+        on a square slide."""
+        return self.width_px / self.cols
 
     def flat(self) -> np.ndarray:
         return self.data.reshape(-1, self.dim)
@@ -61,35 +56,6 @@ def embed(histograms: np.ndarray, dim: int, seed: int) -> np.ndarray:
     norms = np.linalg.norm(tokens, axis=-1, keepdims=True)
     norms[norms == 0] = 1.0
     return (tokens / norms).astype(np.float32)
-
-
-def save_features(path, grid: FeatureGrid):
-    data = grid.data.astype("<f4")
-    header = PSFT_MAGIC + struct.pack(
-        "<HBIII", PSFT_VERSION, grid.mag.index, grid.rows, grid.cols, grid.dim
-    )
-    header += struct.pack("<d", grid.patch_px)
-    with open(path, "wb") as fh:
-        fh.write(header)
-        fh.write(data.tobytes())
-
-
-def load_features(path) -> FeatureGrid:
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 4 + 15 + 8 or raw[:4] != PSFT_MAGIC:
-        raise FormatError(f"{path}: not a PSFT feature file")
-    version, mag_idx, rows, cols, dim = struct.unpack("<HBIII", raw[4:19])
-    if version != PSFT_VERSION:
-        raise FormatError(f"{path}: unsupported PSFT version {version}")
-    (patch_px,) = struct.unpack("<d", raw[19:27])
-    expected = 27 + rows * cols * dim * 4
-    if len(raw) != expected:
-        raise FormatError(
-            f"{path}: payload size mismatch (got {len(raw)}, want {expected})"
-        )
-    data = np.frombuffer(raw[27:], dtype="<f4").reshape(rows, cols, dim)
-    return FeatureGrid(MagLevel(mag_idx), data.copy(), patch_px)
 
 
 def cell_of(
@@ -153,8 +119,7 @@ class SyntheticFeatureProvider(FeatureProvider):
         side = min(self.base_grid * mag.factor, self.max_side)
         hist = self._histograms(gm, side)
         tokens = embed(hist, self.dim, self.seed)
-        patch_px = gm.width_px / side
-        return FeatureGrid(mag, tokens, patch_px)
+        return FeatureGrid(mag, tokens, gm.width_px, gm.height_px)
 
     @staticmethod
     def _histograms(gm: GradeMap, side: int) -> np.ndarray:

@@ -17,15 +17,12 @@ from .trajectory import Fixation, MagLevel, Scanpath
 
 @dataclass
 class IorState:
+    radius_px: float
     visited: list[tuple[float, float, int]] = field(default_factory=list)
-    radius_px: float = 1.0
-    decay: float = 0.0  # multiplicative suppression inside the disk
 
     def __post_init__(self):
         if self.radius_px <= 0:
             raise InvalidInputError("IOR radius must be positive")
-        if not 0.0 <= self.decay < 1.0:
-            raise InvalidInputError("IOR decay must lie in [0, 1)")
 
     def visit(self, x: float, y: float, mag: MagLevel):
         self.visited.append((x, y, mag.index))
@@ -45,14 +42,14 @@ class TransitionMatrix:
 
 
 def apply_ior(h: Heatmap, state: IorState, wsi_w: float, wsi_h: float) -> Heatmap:
-    """Multiply every cell within radius_px of a visited point by decay."""
+    """Zero every cell within radius_px of a visited point."""
     vals = np.asarray(h.values, dtype=np.float64).copy()
     rows, cols = vals.shape
     cx = (np.arange(cols) + 0.5) * (wsi_w / cols)
     cy = (np.arange(rows) + 0.5) * (wsi_h / rows)
     for x, y, _ in state.visited:
         mask = (cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2 <= state.radius_px ** 2
-        vals[mask] *= state.decay
+        vals[mask] = 0.0
     return Heatmap(h.mag, vals)
 
 
@@ -128,13 +125,14 @@ def rollout(
     mode: str = "probmag",
     seed: int = 0,
     transition_matrix: TransitionMatrix | None = None,
-    ior_decay: float = 0.0,
     ior_radius_px: float | None = None,
 ) -> RolloutResult:
-    """Generate a scanpath of exactly n fixations, starting centered at 1X.
+    """Generate a scanpath of n fixations, starting centered at 1X.
 
     The default IOR radius is one viewport half-width at the current
-    magnification; suppression persists for the whole rollout.
+    magnification; suppression persists for the whole rollout.  If
+    inhibition empties the heatmap first, the result is aborted and holds
+    the fixations made so far.
     """
     if n < 1:
         raise InvalidInputError("rollout length must be >= 1")
@@ -145,7 +143,7 @@ def rollout(
     wsi_w, wsi_h = f10x.width_px, f10x.height_px
     rng = np.random.default_rng(seed)
     fixations = [Fixation(wsi_w / 2.0, wsi_h / 2.0, MagLevel(0), 0.0)]
-    ior = IorState(radius_px=1.0, decay=ior_decay)
+    ior = IorState(radius_px=1.0)
     ior.visit(fixations[0].x, fixations[0].y, fixations[0].mag)
 
     while len(fixations) < n:

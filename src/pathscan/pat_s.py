@@ -102,10 +102,8 @@ def build_memory(
 
     Temporal embeddings index fixations by recency (most recent = 1) so
     the last fixation stays directly addressable at any prefix length.
+    A fixation outside the WSI raises RangeError from ``token_at``.
     """
-    for f in history:
-        if not (0 <= f.x < f10x.width_px and 0 <= f.y < f10x.height_px):
-            raise RangeError(f"fixation outside WSI: ({f.x}, {f.y})")
     n_wsi = f2x.rows * f2x.cols
     feats = [f2x.flat().astype(config.dtype)]
     if history:
@@ -334,4 +332,4 @@ def _stage_features(provider, wsi_id: str, mag: MagLevel, stage1_models,
     s1_params = {k: ad.Tensor(v) for k, v in stage1_models[mag.index].items()}
     z = pat_h.encode(grid, s1_params, stage1_config)
     data = z.data.reshape(grid.rows, grid.cols, grid.dim).astype(np.float32)
-    return FeatureGrid(grid.mag, data, grid.patch_px)
+    return FeatureGrid(grid.mag, data, grid.width_px, grid.height_px)

@@ -15,6 +15,9 @@ from dataclasses import dataclass, field, replace
 from .errors import InvalidConfigError, InvalidInputError
 
 MAG_FACTORS = (1, 2, 4, 10, 20, 40)
+# threshold escalation of an over-long scanpath (see ``simplify``)
+ESCALATION_FACTOR = 1.5
+MAX_ESCALATIONS = 20
 
 
 @dataclass(frozen=True, order=True)
@@ -96,7 +99,8 @@ class Scanpath:
 
 @dataclass
 class SimplifyParams:
-    """Thresholds for the simplification passes.
+    """Thresholds for the simplification passes over one WSI of level-0
+    width ``wsi_width``.
 
     ``th_dist`` may be None, in which case the dispersion threshold is a
     quarter of the viewport width at the fragment's magnification, i.e.
@@ -105,14 +109,11 @@ class SimplifyParams:
     picks viewport-relative).
     """
 
+    wsi_width: float
     th_angle: float = math.pi / 6
     th_time: float = 100.0
     th_dist: float | None = None
-    wsi_width: float = 100_000.0
     max_fixations: int = 150
-    literal_dispersion_branch: bool = False
-    escalation_factor: float = 1.5
-    max_escalations: int = 20
 
     def __post_init__(self):
         if self.th_angle <= 0 or self.th_time <= 0:
@@ -197,18 +198,12 @@ def dispersion_merge(pts: list[Fixation], params: SimplifyParams) -> list[Fixati
     threshold of the previously emitted point into it, accumulating the
     merged dwell time; a point is emitted once it is at least th_dist
     away.  The last point is always retained even when it merged.
-
-    With ``literal_dispersion_branch`` the branch condition follows the
-    published pseudocode verbatim (distance to the immediately previous
-    point, accumulate when the distance is *large*), kept for audit.
     """
     if not pts:
         return []
     if len(pts) == 1:
         return list(pts)
     th = params.dist_threshold(pts[0].mag)
-    if params.literal_dispersion_branch:
-        return _dispersion_literal(pts, th)
     out = [pts[0]]
     last_emitted_was_final = False
     for q in range(1, len(pts)):
@@ -224,32 +219,19 @@ def dispersion_merge(pts: list[Fixation], params: SimplifyParams) -> list[Fixati
     return out
 
 
-def _dispersion_literal(pts: list[Fixation], th: float) -> list[Fixation]:
-    # Verbatim Alg-1 branch orientation: accumulate when far, emit when near.
-    out = [pts[0]]
-    for q in range(1, len(pts) - 1):
-        if _dist(pts[q], pts[q - 1]) >= th:
-            out[-1] = replace(out[-1], dur=out[-1].dur + pts[q].dur)
-        else:
-            out.append(pts[q])
-    out.append(pts[-1])
-    return out
-
-
-def simplify(traj: RawTrajectory, params: SimplifyParams | None = None) -> Scanpath:
+def simplify(traj: RawTrajectory, params: SimplifyParams) -> Scanpath:
     """Full simplification: split by magnification, filter, merge.
 
     If the result exceeds ``max_fixations`` the time and distance
-    thresholds are escalated by ``escalation_factor`` and the fragment
+    thresholds are escalated by ``ESCALATION_FACTOR`` and the fragment
     pipeline reruns (fragment-boundary samples are never dropped, so a
     trajectory with more than ``max_fixations`` magnification changes
     cannot be condensed below that floor; escalation then stops).
     """
-    params = params or SimplifyParams()
     fragments = split_by_magnification(traj)
     cur = params
     fixations: list[Fixation] = []
-    for _ in range(params.max_escalations + 1):
+    for _ in range(MAX_ESCALATIONS + 1):
         fixations = []
         for frag in fragments:
             fixations.extend(dispersion_merge(simplify_fragment(frag, cur), cur))
@@ -259,9 +241,9 @@ def simplify(traj: RawTrajectory, params: SimplifyParams | None = None) -> Scanp
         if len(fixations) <= floor:
             break  # only boundary points remain; cannot shrink further
         # escalate th_time plus th_dist in whichever mode it is configured
-        cur = replace(cur, th_time=cur.th_time * params.escalation_factor)
+        cur = replace(cur, th_time=cur.th_time * ESCALATION_FACTOR)
         if cur.th_dist is not None:
-            cur = replace(cur, th_dist=cur.th_dist * params.escalation_factor)
+            cur = replace(cur, th_dist=cur.th_dist * ESCALATION_FACTOR)
         else:
-            cur = replace(cur, wsi_width=cur.wsi_width * params.escalation_factor)
+            cur = replace(cur, wsi_width=cur.wsi_width * ESCALATION_FACTOR)
     return Scanpath(traj.wsi_id, traj.reader_id, fixations)

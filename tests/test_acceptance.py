@@ -25,7 +25,7 @@ from pathscan.baselines import (
     random1_scanpath,
     random2_scanpath,
 )
-from pathscan.features import FeatureGrid, SyntheticFeatureProvider
+from pathscan.features import FeatureGrid, SyntheticFeatureProvider, cell_of
 from pathscan.pat_h import Heatmap, HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
 from pathscan.synth import DEFAULT_TRANSITION_PRIOR, ReaderProfile, gen_wsi, simulate_reader
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
@@ -171,8 +171,8 @@ def test_criterion_3_gradient_integrity(capsys):
     # end-to-end through the miniature stage-2 network in float64
     cfg = ps.ScanpathModelConfig(dim=8, model_dim=8, heads=2, dtype=np.float64)
     rng = np.random.default_rng(1)
-    f2x = FeatureGrid(MagLevel(1), rng.random((2, 2, 8)), 500.0)
-    f10x = FeatureGrid(MagLevel(3), rng.random((3, 3, 8)), 1000.0 / 3)
+    f2x = FeatureGrid(MagLevel(1), rng.random((2, 2, 8)), 1000.0, 1000.0)
+    f10x = FeatureGrid(MagLevel(3), rng.random((3, 3, 8)), 1000.0, 1000.0)
     params = ps.init_scanpath_params(4, cfg, rng)
     history = [Fixation(200.0, 300.0, MagLevel(1), 100.0),
                Fixation(700.0, 600.0, MagLevel(2), 150.0)]
@@ -414,8 +414,7 @@ def test_criterion_7_overfit_sanity(capsys):
         heat_t, _ = ps.forward_step(params, cfg, f2x, f10x, sp.fixations[:k])
         heat = Heatmap(MagLevel(3), np.asarray(heat_t.data, dtype=np.float64))
         x, y = inf.next_location(heat, gm.width_px, gm.height_px)
-        pr = min(int(y // f10x.patch_px), f10x.rows - 1)
-        pc = min(int(x // f10x.patch_px), f10x.cols - 1)
+        pr, pc = cell_of(x, y, f10x.rows, f10x.cols, f10x.width_px, f10x.height_px)
         tr, tc = ps.fixation_cell(f10x, sp.fixations[k])
         hits += (abs(pr - tr) <= 1 and abs(pc - tc) <= 1)
         total += 1

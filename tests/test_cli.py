@@ -5,6 +5,7 @@ import xml.etree.ElementTree as ET
 import pytest
 
 import pathscan.cli as cli
+import pathscan.inference as inference
 from pathscan.io import read_scanpaths, write_scanpaths
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
@@ -150,6 +151,20 @@ class TestTrainPredictEval:
         assert run("predict", "--ckpt", str(scanpath_ckpt),
                    "--corpus", str(corpus_dir), "--wsi", "nope",
                    "--out", str(tmp_path / "p.jsonl")) == 3
+
+    def test_predict_short_rollout_exits_3(self, corpus_dir, scanpath_ckpt,
+                                           tmp_path, monkeypatch, capsys):
+        def stopped(*args, **kwargs):
+            sp = Scanpath("", "", [Fixation(1.0, 1.0, MagLevel(0), 0.0)])
+            return inference.RolloutResult(sp, aborted=True, reason="empty heatmap")
+
+        monkeypatch.setattr(inference, "rollout", stopped)
+        out = tmp_path / "p.jsonl"
+        assert run("predict", "--ckpt", str(scanpath_ckpt),
+                   "--corpus", str(corpus_dir), "--wsi", "wsi_000",
+                   "--n", "150", "--out", str(out)) == 3
+        assert len(read_scanpaths(out)[0]) == 1
+        assert "1 of 150 fixations (empty heatmap)" in capsys.readouterr().err
 
     def test_eval_scanpath_gt_vs_itself(self, corpus_dir, tmp_path):
         # evaluating the ground truth against itself: SSS must be 1

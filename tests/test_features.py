@@ -1,3 +1,5 @@
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -5,18 +7,16 @@ from hypothesis import strategies as st
 
 import pathscan.metrics as mx
 import pathscan.pat_s as pat_s
-from pathscan.errors import FormatError, InvalidConfigError, RangeError
+from pathscan.errors import InvalidConfigError, RangeError
 from pathscan.features import (
     FeatureGrid,
     SyntheticFeatureProvider,
     cell_of,
     embed,
-    load_features,
-    save_features,
     token_at,
 )
 from pathscan.pat_h import gaussian_map
-from pathscan.synth import gen_wsi
+from pathscan.synth import GradeMap, gen_wsi
 from pathscan.trajectory import Fixation, MagLevel
 
 
@@ -44,37 +44,10 @@ class TestEmbed:
             embed(np.zeros((1, 5)), 4, 0)
 
 
-class TestPsftFormat:
-    def test_roundtrip(self, tmp_path):
-        data = np.random.default_rng(0).random((4, 4, 16)).astype(np.float32)
-        grid = FeatureGrid(MagLevel(3), data, 128.0)
-        path = tmp_path / "g.psft"
-        save_features(path, grid)
-        back = load_features(path)
-        assert back.mag == grid.mag
-        assert back.patch_px == grid.patch_px
-        assert np.array_equal(back.data, data)
-
-    def test_bad_magic(self, tmp_path):
-        path = tmp_path / "bad.psft"
-        path.write_bytes(b"NOPE" + b"\x00" * 64)
-        with pytest.raises(FormatError):
-            load_features(path)
-
-    def test_truncated_payload(self, tmp_path):
-        data = np.zeros((2, 2, 8), dtype=np.float32)
-        path = tmp_path / "g.psft"
-        save_features(path, FeatureGrid(MagLevel(0), data, 1.0))
-        raw = path.read_bytes()
-        path.write_bytes(raw[:-8])
-        with pytest.raises(FormatError):
-            load_features(path)
-
-
 class TestTokenAt:
     def grid(self):
         data = np.arange(4 * 4 * 8, dtype=np.float32).reshape(4, 4, 8)
-        return FeatureGrid(MagLevel(1), data, 10.0)
+        return FeatureGrid(MagLevel(1), data, 40.0, 40.0)
 
     def test_interior_lookup(self):
         g = self.grid()
@@ -120,47 +93,54 @@ class TestSyntheticProvider:
         assert np.array_equal(a.data, q.get("w", MagLevel(1)).data)
 
     def test_grid_spans_wsi(self):
-        maps = {"w": gen_wsi(1, 16, 16)}
-        p = SyntheticFeatureProvider(maps, dim=8)
-        g = p.get("w", MagLevel(3))
-        assert g.width_px == pytest.approx(maps["w"].width_px)
-        assert g.height_px == pytest.approx(maps["w"].height_px)
+        gm = gen_wsi(3, 16, 32)  # 8192 x 4096 px
+        g = SyntheticFeatureProvider({"w": gm}, dim=8).get("w", MagLevel(3))
+        assert (g.width_px, g.height_px) == (gm.width_px, gm.height_px)
+        assert g.patch_px == gm.width_px / g.cols
+        with pytest.raises(RangeError):
+            token_at(g, 0.0, gm.height_px)  # below the slide
 
 
 @st.composite
 def grid_and_point(draw):
-    """A provider-style grid (patch side = WSI width / grid side) and a point
-    inside the WSI: anywhere, on a patch corner, or at the centre."""
-    rows, cols = draw(st.integers(1, 40)), draw(st.integers(1, 40))
-    wsi_w = draw(st.sampled_from([100.0, 1000.0, 4096.0, 6144.0, 8192.0, 12345.6]))
-    patch_px = wsi_w / cols
-    grid = FeatureGrid(MagLevel(3), np.indices((rows, cols)).transpose(1, 2, 0)
-                       .astype(np.float32), patch_px)
+    """A provider grid over a grade map with rows != cols, its 10X grid
+    index-coded, and a point inside the WSI: anywhere, on a patch corner,
+    or at the centre."""
+    w_g = draw(st.integers(8, 40))
+    h_g = draw(st.integers(8, 39))
+    h_g += h_g >= w_g
+    cell = draw(st.sampled_from([1.0, 100.0, 256.0, 385.8]) | st.floats(1.0, 1000.0))
+    gm = GradeMap(np.zeros((h_g, w_g), dtype=np.int8), cell)
+    provider = SyntheticFeatureProvider({"w": gm}, dim=8,
+                                        base_grid=draw(st.integers(1, 40)), max_side=40)
+    grid = provider.get("w", MagLevel(0))
+    grid = replace(grid, data=np.indices((grid.rows, grid.cols)).transpose(1, 2, 0))
     kind = draw(st.sampled_from(["anywhere", "corner", "centre"]))
     if kind == "centre":
-        x, y = grid.width_px / 2.0, grid.height_px / 2.0
+        x, y = gm.width_px / 2.0, gm.height_px / 2.0
     elif kind == "corner":
-        x = draw(st.integers(0, cols - 1)) * patch_px
-        y = draw(st.integers(0, rows - 1)) * patch_px
+        x = draw(st.integers(0, grid.cols - 1)) * gm.width_px / grid.cols
+        y = draw(st.integers(0, grid.rows - 1)) * gm.height_px / grid.rows
     else:
-        x = draw(st.floats(0.0, grid.width_px, exclude_max=True))
-        y = draw(st.floats(0.0, grid.height_px, exclude_max=True))
-    return grid, x, y
+        x = draw(st.floats(0.0, gm.width_px, exclude_max=True))
+        y = draw(st.floats(0.0, gm.height_px, exclude_max=True))
+    return gm, grid, x, y
 
 
 class TestOnePatchConvention:
     @settings(max_examples=300, deadline=None)
     @given(grid_and_point())
     def test_token_position_target_and_metric_cells_agree(self, case):
-        grid, x, y = case
+        # tokens, positions and stage-2 targets place a fixation with the
+        # grid's frame; metrics and the stage-1 ground truth read the grade map's
+        gm, grid, x, y = case
         shape = (grid.rows, grid.cols)
         f = Fixation(x, y, MagLevel(3), 0.0)
         token = tuple(int(v) for v in token_at(grid, x, y))
         position = divmod(pat_s._pos_index(grid, x, y), grid.cols)
         target = pat_s.fixation_cell(grid, f)
         peak = np.unravel_index(
-            np.argmax(gaussian_map([f], shape, grid.width_px, grid.height_px)), shape)
-        (metric,) = mx._fixation_cells([f], shape, grid.width_px, grid.height_px)
+            np.argmax(gaussian_map([f], shape, gm.width_px, gm.height_px)), shape)
+        (metric,) = mx._fixation_cells([f], shape, gm.width_px, gm.height_px)
         assert token == position == target == tuple(peak) == metric
-        assert token == cell_of(x, y, grid.rows, grid.cols,
-                                grid.width_px, grid.height_px)
+        assert token == cell_of(x, y, grid.rows, grid.cols, gm.width_px, gm.height_px)

@@ -45,26 +45,26 @@ class TestIor:
     def test_state_validation(self):
         with pytest.raises(InvalidInputError):
             inf.IorState(radius_px=0.0)
-        with pytest.raises(InvalidInputError):
-            inf.IorState(radius_px=1.0, decay=1.0)
 
     def test_suppression_moves_argmax(self):
         vals = np.random.default_rng(1).random((6, 6))
         h = heat(vals)
         wsi = 60.0
         x, y = inf.next_location(h, wsi, wsi)
-        state = inf.IorState(radius_px=15.0, decay=0.0)
+        state = inf.IorState(radius_px=15.0)
         state.visit(x, y, MagLevel(3))
         h2 = inf.apply_ior(h, state, wsi, wsi)
         x2, y2 = inf.next_location(h2, wsi, wsi)
         assert np.hypot(x2 - x, y2 - y) > 15.0
 
-    def test_decay_scales_instead_of_zeroing(self):
+    def test_zeroes_only_inside_radius(self):
         h = heat(np.ones((4, 4)))
-        state = inf.IorState(radius_px=100.0, decay=0.5)
-        state.visit(20.0, 20.0, MagLevel(0))
+        state = inf.IorState(radius_px=10.0)
+        state.visit(5.0, 5.0, MagLevel(0))  # cell centres 5, 15, 25, 35
         out = inf.apply_ior(h, state, 40.0, 40.0)
-        assert np.allclose(out.values, 0.5)
+        want = np.ones((4, 4))
+        want[0, :2] = want[1, 0] = 0.0
+        assert np.array_equal(out.values, want)
 
 
 class TestNextMag:
@@ -144,9 +144,9 @@ def rollout_setup():
     rng = np.random.default_rng(3)
     config = ScanpathModelConfig(dim=8, model_dim=8, heads=2)
     f2x = FeatureGrid(MagLevel(1),
-                      rng.standard_normal((4, 4, 8)).astype(np.float32), 300.0)
+                      rng.standard_normal((4, 4, 8)).astype(np.float32), 1200.0, 1200.0)
     f10x = FeatureGrid(MagLevel(3),
-                       rng.standard_normal((8, 8, 8)).astype(np.float32), 150.0)
+                       rng.standard_normal((8, 8, 8)).astype(np.float32), 1200.0, 1200.0)
     params = pat_s.init_scanpath_params(16, config, rng)
     return params, config, f2x, f10x
 

@@ -188,7 +188,7 @@ def toy_provider(tokens_by_mag):
 class TestTokSim:
     def grid(self, data):
         arr = np.asarray(data, dtype=np.float32)
-        return FeatureGrid(MagLevel(3), arr, 100.0 / arr.shape[1])
+        return FeatureGrid(MagLevel(3), arr, 100.0, 100.0 * arr.shape[0] / arr.shape[1])
 
     def test_orthogonal_tokens_zero(self):
         data = np.zeros((1, 2, 2), dtype=np.float32)

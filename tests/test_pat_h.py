@@ -11,7 +11,7 @@ from pathscan.trajectory import Fixation, MagLevel
 
 def tiny_grid(rows=3, cols=3, dim=8, seed=0):
     data = np.random.default_rng(seed).standard_normal((rows, cols, dim))
-    return FeatureGrid(MagLevel(1), data.astype(np.float32), 100.0)
+    return FeatureGrid(MagLevel(1), data.astype(np.float32), cols * 100.0, rows * 100.0)
 
 
 def tiny_config(**kw):
@@ -113,8 +113,8 @@ class TestEncode:
         base = pat_h.encode(grid, params, config).data
 
         perm = np.array([2, 0, 3, 1])
-        grid_p = FeatureGrid(grid.mag,
-                             grid.flat()[perm].reshape(2, 2, 8), grid.patch_px)
+        grid_p = FeatureGrid(grid.mag, grid.flat()[perm].reshape(2, 2, 8),
+                             grid.width_px, grid.height_px)
         params_p = dict(params)
         params_p["pos"] = ad.Tensor(params["pos"].data[perm])
         out_p = pat_h.encode(grid_p, params_p, config).data

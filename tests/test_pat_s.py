@@ -29,10 +29,10 @@ def tiny_grids(seed=0, side2x=3, side10x=4, dim=8):
     rng = np.random.default_rng(seed)
     f2x = FeatureGrid(MagLevel(1),
                       rng.standard_normal((side2x, side2x, dim)).astype(np.float32),
-                      1200.0 / side2x)
+                      1200.0, 1200.0)
     f10x = FeatureGrid(MagLevel(3),
                        rng.standard_normal((side10x, side10x, dim)).astype(np.float32),
-                       1200.0 / side10x)
+                       1200.0, 1200.0)
     return f2x, f10x
 
 
@@ -214,7 +214,7 @@ class TestForwardStep:
         orth[np.argmin(np.abs(v))] = 1.0
         basis[:, :] = orth - (orth @ v) * v / (v @ v)
         basis[2, 3] = v / np.linalg.norm(v)
-        grid = FeatureGrid(MagLevel(3), basis.astype(np.float32), 300.0)
+        grid = FeatureGrid(MagLevel(3), basis.astype(np.float32), 1200.0, 1200.0)
         heat = pat_s.predict_fixation_heatmap(qp, grid, params)
         assert np.unravel_index(np.argmax(heat.data), (4, 4)) == (2, 3)
 

@@ -80,23 +80,23 @@ class TestSimplifyFragment:
     def test_zigzag_all_retained(self):
         # interior turning angles are all pi/2, every dwell above threshold
         pts = [sample(0, 0), sample(1, 0), sample(1, 1), sample(2, 1), sample(2, 2)]
-        params = SimplifyParams(th_angle=math.pi / 4, th_time=100.0)
+        params = SimplifyParams(10_000.0, th_angle=math.pi / 4, th_time=100.0)
         out = simplify_fragment(pts, params)
         assert len(out) == 5
 
     def test_short_dwell_dropped(self):
         pts = [sample(0, 0), sample(1, 0, t=50.0), sample(1, 1)]
-        params = SimplifyParams(th_angle=math.pi / 4, th_time=100.0)
+        params = SimplifyParams(10_000.0, th_angle=math.pi / 4, th_time=100.0)
         out = simplify_fragment(pts, params)
         assert [(f.x, f.y) for f in out] == [(0, 0), (1, 1)]
 
     def test_straight_line_keeps_endpoints_only(self):
         pts = [sample(i, 0) for i in range(6)]
-        out = simplify_fragment(pts, SimplifyParams())
+        out = simplify_fragment(pts, SimplifyParams(10_000.0))
         assert [(f.x, f.y) for f in out] == [(0, 0), (5, 0)]
 
     def test_single_point(self):
-        out = simplify_fragment([sample(3, 4)], SimplifyParams())
+        out = simplify_fragment([sample(3, 4)], SimplifyParams(10_000.0))
         assert len(out) == 1 and (out[0].x, out[0].y) == (3, 4)
 
 
@@ -106,27 +106,19 @@ class TestDispersionMerge:
         # summed duration and the final point is still retained
         p1 = Fixation(0, 0, MagLevel(0), 120.0)
         p2 = Fixation(10, 0, MagLevel(0), 80.0)
-        out = dispersion_merge([p1, p2], SimplifyParams(th_dist=100.0))
+        out = dispersion_merge([p1, p2], SimplifyParams(10_000.0, th_dist=100.0))
         assert len(out) == 2
         assert out[0].dur == pytest.approx(200.0)
         assert (out[1].x, out[1].y, out[1].dur) == (10, 0, 80.0)
 
     def test_far_points_all_emitted(self):
         pts = [Fixation(i * 500, 0, MagLevel(0), 100.0) for i in range(4)]
-        out = dispersion_merge(pts, SimplifyParams(th_dist=100.0))
+        out = dispersion_merge(pts, SimplifyParams(10_000.0, th_dist=100.0))
         assert [(f.x, f.dur) for f in out] == [(0, 100), (500, 100), (1000, 100), (1500, 100)]
 
     def test_single_point(self):
         p = Fixation(1, 2, MagLevel(2), 50.0)
-        assert dispersion_merge([p], SimplifyParams(th_dist=10.0)) == [p]
-
-    def test_literal_branch_differs(self):
-        pts = [Fixation(i * 500, 0, MagLevel(0), 100.0) for i in range(4)]
-        params = SimplifyParams(th_dist=100.0, literal_dispersion_branch=True)
-        out = dispersion_merge(pts, params)
-        # verbatim branch accumulates far-away points instead of emitting them
-        assert len(out) == 2
-        assert out[0].dur == pytest.approx(300.0)
+        assert dispersion_merge([p], SimplifyParams(10_000.0, th_dist=10.0)) == [p]
 
 
 class TestParams:
@@ -136,16 +128,18 @@ class TestParams:
         assert p.dist_threshold(MagLevel(3)) == pytest.approx(2_500.0)
 
     def test_explicit_threshold_wins(self):
-        p = SimplifyParams(th_dist=42.0)
+        p = SimplifyParams(10_000.0, th_dist=42.0)
         assert p.dist_threshold(MagLevel(4)) == 42.0
 
     def test_validation(self):
         with pytest.raises(InvalidConfigError):
-            SimplifyParams(th_time=-1.0)
+            SimplifyParams(10_000.0, th_time=-1.0)
         with pytest.raises(InvalidConfigError):
-            SimplifyParams(th_dist=0.0)
+            SimplifyParams(10_000.0, th_dist=0.0)
         with pytest.raises(InvalidConfigError):
-            SimplifyParams(max_fixations=1)
+            SimplifyParams(10_000.0, max_fixations=1)
+        with pytest.raises(InvalidConfigError):
+            SimplifyParams(0.0)
 
 
 def reference_simplify(t: RawTrajectory, params: SimplifyParams) -> list[Fixation]:
@@ -247,7 +241,7 @@ class TestSimplify:
         assert len(sp) <= 150
 
     def test_returns_scanpath_metadata(self):
-        sp = simplify(traj([sample(0, 0), sample(1, 1)]))
+        sp = simplify(traj([sample(0, 0), sample(1, 1)]), SimplifyParams(10_000.0))
         assert isinstance(sp, Scanpath)
         assert sp.wsi_id == "w" and sp.reader_id == "r"
 
