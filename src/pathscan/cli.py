@@ -32,11 +32,12 @@ from .io import (
     save_grade_map,
     write_manifest,
     write_scanpaths,
+    write_sidecar,
     write_trajectories,
 )
 from .render import render_svg
 from .synth import GradeMap, ReaderProfile, gen_wsi, simulate_reader
-from .trajectory import MagLevel, Scanpath, SimplifyParams, simplify
+from .trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 
 EXIT_OK = 0
 EXIT_USAGE = 2
@@ -54,22 +55,6 @@ def _simplify_params(cfg: dict, wsi_width: float | None) -> SimplifyParams:
         if key in cfg:
             kwargs[key] = cfg[key]
     return SimplifyParams(**kwargs)
-
-
-def _heatmap_config(cfg: dict) -> pat_h.HeatmapModelConfig:
-    kwargs = {k: cfg[k] for k in ("dim", "layers", "heads", "lr", "epochs", "seed")
-              if k in cfg}
-    kwargs["seed"] = resolve_seed(cfg)
-    return pat_h.HeatmapModelConfig(**kwargs)
-
-
-def _scanpath_config(cfg: dict) -> pat_s.ScanpathModelConfig:
-    kwargs = {k: cfg[k] for k in (
-        "dim", "model_dim", "enc_layers", "dec_layers", "heads", "lambda_mag",
-        "focal_gamma", "focal_beta", "lr", "epochs",
-    ) if k in cfg}
-    kwargs["seed"] = resolve_seed(cfg)
-    return pat_s.ScanpathModelConfig(**kwargs)
 
 
 # ------------------------------------------------------------ corpus access
@@ -169,8 +154,8 @@ def cmd_gen(args) -> int:
 def cmd_train_heatmap(args) -> int:
     cfg = _load_config(args.config)
     maps, scanpaths, provider, corpus_cfg = load_corpus(args.corpus)
-    config = _heatmap_config(cfg)
-    config.dim = provider.dim
+    kwargs = {k: cfg[k] for k in ("layers", "heads", "lr", "epochs") if k in cfg}
+    config = pat_h.HeatmapModelConfig(dim=provider.dim, seed=resolve_seed(cfg), **kwargs)
 
     corpus: dict[int, list] = {}
     for mag_idx in config.mags_trained:
@@ -190,6 +175,7 @@ def cmd_train_heatmap(args) -> int:
 
     models, curves = pat_h.train_heatmap(corpus, config)
     pat_h.save_heatmap_models(args.out, models)
+    write_sidecar(args.out, cfg, config, pat_h.SIDECAR_KEYS)
     _write_loss_csv(Path(args.out).with_suffix(".loss.csv"),
                     [("mag_index", "epoch", "loss")],
                     [(m, e, loss) for m, c in curves.items()
@@ -200,53 +186,30 @@ def cmd_train_heatmap(args) -> int:
 def cmd_train_scanpath(args) -> int:
     cfg = _load_config(args.config)
     maps, scanpaths, provider, corpus_cfg = load_corpus(args.corpus)
-    config = _scanpath_config(cfg)
-    config.dim = provider.dim
+    kwargs = {k: cfg[k] for k in (
+        "model_dim", "enc_layers", "dec_layers", "heads", "lambda_mag",
+        "focal_gamma", "focal_beta", "lr", "epochs",
+    ) if k in cfg}
+    config = pat_s.ScanpathModelConfig(dim=provider.dim, seed=resolve_seed(cfg), **kwargs)
     stage1 = pat_h.load_heatmap_models(args.stage1) if args.stage1 else None
-    stage1_cfg = None
-    if stage1:
-        stage1_cfg = _heatmap_config(cfg)
-        stage1_cfg.dim = provider.dim
 
     corpus = [(sp.wsi_id, sp) for sp in scanpaths]
-    params, log = pat_s.train_scanpath(corpus, provider, config, stage1, stage1_cfg)
+    params, log = pat_s.train_scanpath(corpus, provider, config, stage1)
     if any(not np.isfinite(row[3]) for row in log):
         raise NumericError("training loss became non-finite")
     ad.save_checkpoint(args.out, params)
-    Path(str(args.out) + ".json").write_text(json.dumps(
-        {"version": VERSION, "config": {**cfg, "dim": config.dim,
-                                        "model_dim": config.model_dim,
-                                        "enc_layers": config.enc_layers,
-                                        "dec_layers": config.dec_layers,
-                                        "heads": config.heads}}
-    ))
+    write_sidecar(args.out, cfg, config, pat_s.SIDECAR_KEYS, stage1=args.stage1)
     _write_loss_csv(Path(args.out).with_suffix(".loss.csv"),
                     [("epoch", "loss_fix", "loss_mag", "loss_total")], log, cfg)
     return EXIT_OK
-
-
-def _load_scanpath_model(ckpt_path: str) -> tuple[dict, pat_s.ScanpathModelConfig]:
-    sidecar = Path(str(ckpt_path) + ".json")
-    cfg = json.loads(sidecar.read_text())["config"] if sidecar.exists() else {}
-    config = pat_s.ScanpathModelConfig(
-        dim=int(cfg.get("dim", 32)),
-        model_dim=int(cfg.get("model_dim", 32)),
-        enc_layers=int(cfg.get("enc_layers", 1)),
-        dec_layers=int(cfg.get("dec_layers", 1)),
-        heads=int(cfg.get("heads", 4)),
-    )
-    arrays = ad.load_checkpoint(ckpt_path)
-    params = {k: ad.Tensor(v) for k, v in arrays.items()}
-    return params, config
 
 
 def cmd_predict(args) -> int:
     maps, scanpaths, provider, corpus_cfg = load_corpus(args.corpus)
     if args.wsi not in maps:
         raise InvalidInputError(f"unknown WSI id: {args.wsi}")
-    params, config = _load_scanpath_model(args.ckpt)
-    f2x = provider.get(args.wsi, MagLevel(1))
-    f10x = provider.get(args.wsi, MagLevel(3))
+    params, config, stage1 = pat_s.load_scanpath_model(args.ckpt)
+    f2x, f10x = pat_s.stage2_grids(provider, args.wsi, stage1)
 
     if args.n == "auto":
         n = inference.infer_length(scanpaths)
@@ -275,16 +238,17 @@ def cmd_predict(args) -> int:
 def cmd_eval_next(args) -> int:
     maps, corpus_sps, provider, _ = load_corpus(args.corpus)
     gt_scanpaths = read_scanpaths(args.gt)
-    params, config = _load_scanpath_model(args.ckpt)
+    params, config, stage1 = pat_s.load_scanpath_model(args.ckpt)
 
     rows = []
     events = []
     sp_errors, tok_sims = [], []
+    grids = {w: pat_s.stage2_grids(provider, w, stage1)
+             for w in {sp.wsi_id for sp in gt_scanpaths} & maps.keys()}
     for sp in gt_scanpaths:
         if sp.wsi_id not in maps or len(sp) < 2:
             continue
-        f2x = provider.get(sp.wsi_id, MagLevel(1))
-        f10x = provider.get(sp.wsi_id, MagLevel(3))
+        f2x, f10x = grids[sp.wsi_id]
         for k in range(1, len(sp)):
             history = sp.fixations[:k]
             target = sp.fixations[k]
@@ -294,8 +258,6 @@ def cmd_eval_next(args) -> int:
             pred_mag = inference.next_mag_probmag(
                 mags.data, history[-1].mag, deterministic=True
             )
-            from .trajectory import Fixation
-
             pred_fix = Fixation(x, y, pred_mag, 0.0)
             sp_errors.append(
                 metrics.spatial_error(pred_fix, target, f10x.width_px, f10x.height_px)
@@ -329,7 +291,6 @@ def cmd_eval_scanpath(args) -> int:
     maps, _, provider, _ = load_corpus(args.corpus)
     preds = read_scanpaths(args.pred)
     gts = read_scanpaths(args.gt)
-    have_grades = bool(maps)
 
     rows = []
     for pred in preds:
@@ -349,12 +310,9 @@ def cmd_eval_scanpath(args) -> int:
         tok_overall = float(np.mean(
             [metrics.tok_sim_scan(pred, sp, provider, wsi_id)[1] for sp in wsi_gts]
         ))
-        if have_grades:
-            try:
-                sss_v = f"{metrics.sss(pred, wsi_gts, gm):.6f}"
-            except PathscanError:
-                sss_v = "absent"
-        else:
+        try:
+            sss_v = f"{metrics.sss(pred, wsi_gts, gm):.6f}"
+        except PathscanError:
             sss_v = "absent"
         rows.append((wsi_id, f"{nss_v:.6f}", f"{auc_v:.6f}",
                      f"{tok_overall:.6f}", sss_v))

@@ -4,8 +4,6 @@ accuracies."""
 
 from __future__ import annotations
 
-from dataclasses import dataclass
-
 import numpy as np
 from scipy.stats import rankdata
 
@@ -20,16 +18,7 @@ from .pat_h import Heatmap, gaussian_map
 from .synth import BACKGROUND, GRADE_CHARS, GradeMap
 from .trajectory import Fixation, MagLevel, Scanpath
 
-
-@dataclass
-class AlignScoring:
-    match: float = 1.0
-    mismatch: float = -1.0
-    gap: float = -1.0
-
-    def __post_init__(self):
-        if self.match <= self.mismatch:
-            raise InvalidInputError("match reward must exceed mismatch penalty")
+MATCH, MISMATCH, GAP = 1.0, -1.0, -1.0  # Needleman-Wunsch scores
 
 
 def _fixation_cells(
@@ -85,27 +74,23 @@ def grade_string(sp: Scanpath, gm: GradeMap) -> str:
     return "".join(out)
 
 
-def needleman_wunsch(a: str, b: str, scoring: AlignScoring | None = None) -> float:
+def needleman_wunsch(a: str, b: str) -> float:
     """Global alignment score normalized by match * max length, clamped to [0, 1]."""
-    scoring = scoring or AlignScoring()
     if not a or not b:
         raise InvalidInputError("alignment requires non-empty strings")
     n, m = len(a), len(b)
-    prev = [scoring.gap * j for j in range(m + 1)]
+    prev = [GAP * j for j in range(m + 1)]
     for i in range(1, n + 1):
-        cur = [scoring.gap * i] + [0.0] * m
+        cur = [GAP * i] + [0.0] * m
         for j in range(1, m + 1):
-            s = scoring.match if a[i - 1] == b[j - 1] else scoring.mismatch
-            cur[j] = max(prev[j - 1] + s, prev[j] + scoring.gap, cur[j - 1] + scoring.gap)
+            s = MATCH if a[i - 1] == b[j - 1] else MISMATCH
+            cur[j] = max(prev[j - 1] + s, prev[j] + GAP, cur[j - 1] + GAP)
         prev = cur
-    norm = prev[m] / (scoring.match * max(n, m))
+    norm = prev[m] / (MATCH * max(n, m))
     return float(min(1.0, max(0.0, norm)))
 
 
-def sss(
-    pred: Scanpath, gts: list[Scanpath], gm: GradeMap,
-    scoring: AlignScoring | None = None,
-) -> float:
+def sss(pred: Scanpath, gts: list[Scanpath], gm: GradeMap) -> float:
     """Mean alignment similarity of grade strings against each GT scanpath."""
     if not gts:
         raise InvalidInputError("sss requires at least one ground-truth scanpath")
@@ -116,7 +101,7 @@ def sss(
     for gt in gts:
         b = grade_string(gt, gm)
         if b:
-            scores.append(needleman_wunsch(a, b, scoring))
+            scores.append(needleman_wunsch(a, b))
     if not scores:
         raise DegenerateInputError("no ground-truth scanpath lands on tissue")
     return float(np.mean(scores))

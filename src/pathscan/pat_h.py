@@ -19,10 +19,12 @@ import numpy as np
 from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
-from . import nn
+from . import io, nn
 from .errors import DegenerateInputError, InvalidConfigError, InvalidInputError, ShapeError
 from .features import FeatureGrid, cell_of
 from .trajectory import Fixation, MagLevel
+
+SIDECAR_KEYS = ("dim", "layers", "heads")  # what encoding with a saved model needs
 
 
 @dataclass
@@ -203,13 +205,16 @@ def save_heatmap_models(path, models: dict[int, dict[str, ad.Tensor]]):
     ad.save_checkpoint(path, flat)
 
 
-def load_heatmap_models(path) -> dict[int, dict[str, np.ndarray]]:
-    flat = ad.load_checkpoint(path)
+def load_heatmap_models(
+    path,
+) -> tuple[dict[int, dict[str, np.ndarray]], HeatmapModelConfig]:
+    """Per-level parameters and the config recorded in ``<path>.json``."""
+    config = HeatmapModelConfig(**io.read_sidecar(path, SIDECAR_KEYS)[0])
     out: dict[int, dict[str, np.ndarray]] = {}
-    for key, arr in flat.items():
+    for key, arr in ad.load_checkpoint(path).items():
         prefix, rest = key.split(".", 1)
         out.setdefault(int(prefix[1:]), {})[rest] = arr
-    return out
+    return out, config
 
 
 def heatmap_to_pgm(h: Heatmap, comment: str = "") -> bytes:

@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import autodiff as ad
-from . import nn, pat_h
+from . import io, nn, pat_h
 from .errors import (
     ContractError,
     InvalidConfigError,
@@ -29,6 +29,7 @@ from .features import FeatureGrid, cell_of, token_at
 from .trajectory import MagLevel, Fixation, Scanpath
 
 TEMPORAL_CAP = 150  # matches the simplification fixation cap
+SIDECAR_KEYS = ("dim", "model_dim", "enc_layers", "dec_layers", "heads")
 
 
 @dataclass
@@ -258,10 +259,10 @@ def train_scanpath(
     corpus: list[tuple[str, Scanpath]],
     provider,
     config: ScanpathModelConfig,
-    stage1_models: dict[int, dict[str, np.ndarray]] | None = None,
-    stage1_config=None,
+    stage1=None,
 ) -> tuple[dict[str, ad.Tensor], list[tuple[int, float, float, float]]]:
-    """Behavior-clone next-fixation prediction over all scanpath prefixes.
+    """Behavior-clone next-fixation prediction over all scanpath prefixes,
+    on the grids ``stage2_grids`` builds with ``stage1``.
 
     Returns the trained parameters and a per-epoch log of
     (epoch, fixation loss, magnification loss, total loss).
@@ -271,21 +272,14 @@ def train_scanpath(
         raise InvalidInputError("corpus has no trainable scanpaths")
 
     wsi_ids = sorted({w for w, _, _ in examples})
-    f2x_grids = {
-        w: _stage_features(provider, w, MagLevel(1), stage1_models, stage1_config)
-        for w in wsi_ids
-    }
-    f10x_grids = {
-        w: _stage_features(provider, w, MagLevel(3), stage1_models, stage1_config)
-        for w in wsi_ids
-    }
+    grids = {w: stage2_grids(provider, w, stage1) for w in wsi_ids}
 
     counts = cumulative_mag_count(
         [sp.fixations[k] for _, sp, k in examples]
     )
     weights = class_weights(counts)
 
-    first = f2x_grids[wsi_ids[0]]
+    first = grids[wsi_ids[0]][0]
     rng = np.random.default_rng(config.seed)
     params = init_scanpath_params(first.rows * first.cols, config, rng)
     state = ad.AdamState()
@@ -298,7 +292,7 @@ def train_scanpath(
         tot_fix = tot_mag = 0.0
         for i in order:
             wsi_id, sp, k = examples[i]
-            f2x, f10x = f2x_grids[wsi_id], f10x_grids[wsi_id]
+            f2x, f10x = grids[wsi_id]
             target = sp.fixations[k]
             cell = fixation_cell(f10x, target)
             key = (wsi_id, cell[0], cell[1], target.mag.index)
@@ -321,15 +315,41 @@ def train_scanpath(
     return params, log
 
 
-def _stage_features(provider, wsi_id: str, mag: MagLevel, stage1_models,
-                    stage1_config) -> FeatureGrid:
-    """Provider grid, optionally re-encoded by the stage-1 encoder."""
-    grid = provider.get(wsi_id, mag)
-    if not stage1_models or mag.index not in stage1_models:
-        return grid
-    if stage1_config is None:
-        raise InvalidInputError("stage1_config required when stage1_models given")
-    s1_params = {k: ad.Tensor(v) for k, v in stage1_models[mag.index].items()}
-    z = pat_h.encode(grid, s1_params, stage1_config)
-    data = z.data.reshape(grid.rows, grid.cols, grid.dim).astype(np.float32)
-    return FeatureGrid(grid.mag, data, grid.width_px, grid.height_px)
+def stage2_grids(provider, wsi_id: str, stage1) -> tuple[FeatureGrid, FeatureGrid]:
+    """The 2X and 10X grids stage 2 reads for one WSI.
+
+    ``stage1`` is ``(models, config)`` from ``pat_h.load_heatmap_models``,
+    or None. A level that has a stage-1 model is re-encoded by it; a level
+    without one keeps the provider's grid.
+    """
+    models, s1_config = stage1 or ({}, None)
+    out = []
+    for mag in (MagLevel(1), MagLevel(3)):
+        grid = provider.get(wsi_id, mag)
+        if mag.index in models:
+            s1_params = {k: ad.Tensor(v) for k, v in models[mag.index].items()}
+            z = pat_h.encode(grid, s1_params, s1_config).data
+            data = z.reshape(grid.rows, grid.cols, grid.dim).astype(np.float32)
+            grid = FeatureGrid(mag, data, grid.width_px, grid.height_px)
+        out.append(grid)
+    return out[0], out[1]
+
+
+def load_scanpath_model(
+    ckpt,
+) -> tuple[dict[str, ad.Tensor], ScanpathModelConfig, tuple | None]:
+    """Parameters, config and stage-1 ``(models, config)`` (None if it was
+    trained on raw grids) of a stage-2 checkpoint, all named by its sidecar.
+
+    A stage-1 file that is missing, or whose sha256 is not the one the
+    sidecar recorded, raises InvalidInputError.
+    """
+    config, ref = io.read_sidecar(ckpt, SIDECAR_KEYS)
+    params = {k: ad.Tensor(v) for k, v in ad.load_checkpoint(ckpt).items()}
+    stage1 = None
+    if ref:
+        path, sha = ref
+        if not path.exists() or io.file_sha256(path) != sha:
+            raise InvalidInputError(f"{ckpt}: stage-1 file {path} is missing or changed")
+        stage1 = pat_h.load_heatmap_models(path)
+    return params, ScanpathModelConfig(**config), stage1

@@ -76,7 +76,6 @@ DEFAULT_TRANSITION_PRIOR = np.array(
 
 @dataclass
 class ReaderProfile:
-    explore_fraction: float = 0.3
     drill_bias: float = 0.7
     mag_transition_prior: np.ndarray = field(
         default_factory=lambda: DEFAULT_TRANSITION_PRIOR.copy()

@@ -1,12 +1,17 @@
 import csv
 import json
+import shutil
 import xml.etree.ElementTree as ET
 
+import numpy as np
 import pytest
 
+import pathscan.autodiff as ad
 import pathscan.cli as cli
 import pathscan.inference as inference
-from pathscan.io import read_scanpaths, write_scanpaths
+import pathscan.pat_h as pat_h
+import pathscan.pat_s as pat_s
+from pathscan.io import file_sha256, read_scanpaths, write_scanpaths
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
 
@@ -194,6 +199,141 @@ class TestTrainPredictEval:
             rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
         assert "spatial_error_mean" in rows
         assert 0 <= rows["mag_accuracy_overall"] <= 100
+
+
+def test_sidecar_rebuilds_checkpoint_shapes(corpus_dir, scanpath_ckpt):
+    """The sidecar keys a reader of a stage-2 checkpoint relies on: five int
+    config values from which init_scanpath_params rebuilds every name and
+    shape in the checkpoint."""
+    cfg = json.loads((scanpath_ckpt.parent / "s.psck.json").read_text())["config"]
+    keys = ("dim", "model_dim", "enc_layers", "dec_layers", "heads")
+    assert all(type(cfg[k]) is int for k in keys)
+    config = pat_s.ScanpathModelConfig(**{k: cfg[k] for k in keys})
+    _, _, provider, _ = cli.load_corpus(str(corpus_dir))
+    f2x = provider.get("wsi_000", MagLevel(1))
+    rebuilt = pat_s.init_scanpath_params(f2x.rows * f2x.cols, config,
+                                         np.random.default_rng(0))
+    saved = ad.load_checkpoint(scanpath_ckpt)
+    assert {k: t.shape for k, t in rebuilt.items()} == \
+        {k: a.shape for k, a in saved.items()}
+
+
+def train_on_stage1(corpus_dir, d) -> int:
+    """Stage 1 at layers = 1, heads = 4 into d/h.psck, then stage 2 on it
+    into d/s.psck from a config that sets no layers and heads = 2; returns
+    the exit code of train-scanpath."""
+    (d / "s1.cfg").write_text("epochs = 1\nseed = 7\nlayers = 1\nheads = 4\n")
+    (d / "s2.cfg").write_text("epochs = 1\nseed = 7\nmodel_dim = 16\nheads = 2\n")
+    assert run("train-heatmap", "--corpus", str(corpus_dir), "--config",
+               str(d / "s1.cfg"), "--out", str(d / "h.psck")) == 0
+    return run("train-scanpath", "--corpus", str(corpus_dir), "--config",
+               str(d / "s2.cfg"), "--stage1", str(d / "h.psck"),
+               "--out", str(d / "s.psck"))
+
+
+@pytest.fixture(scope="module")
+def stage1_run(tmp_path_factory, corpus_dir):
+    """The directory of train_on_stage1, its exit code and the (layers,
+    heads) of every stage-1 encode during stage-2 training."""
+    d = tmp_path_factory.mktemp("stage1")
+    seen = []
+    encode = pat_h.encode
+
+    def spy(grid, params, config):
+        seen.append((config.layers, config.heads))
+        return encode(grid, params, config)
+
+    with pytest.MonkeyPatch.context() as mp:
+        mp.setattr(pat_h, "encode", spy)
+        code = train_on_stage1(corpus_dir, d)
+    return d, code, seen
+
+
+def stage1_grid(corpus_dir, d, wsi_id, level):
+    """The provider grid of (wsi_id, level) encoded by d/h.psck's model for
+    that level at the stage-1 config train_on_stage1 set."""
+    _, _, provider, _ = cli.load_corpus(str(corpus_dir))
+    grid = provider.get(wsi_id, MagLevel(level))
+    models, _ = pat_h.load_heatmap_models(d / "h.psck")
+    params = {k: ad.Tensor(v) for k, v in models[level].items()}
+    config = pat_h.HeatmapModelConfig(dim=provider.dim, layers=1, heads=4)
+    return pat_h.encode(grid, params, config).data.reshape(grid.rows, grid.cols, -1)
+
+
+class TestStage1Checkpoint:
+    def test_train_scanpath_encodes_with_stage1_config(self, stage1_run):
+        d, code, seen = stage1_run
+        assert code == 0
+        assert seen and set(seen) == {(1, 4)}
+        h_side = json.loads((d / "h.psck.json").read_text())
+        assert {k: h_side["config"][k] for k in ("dim", "layers", "heads")} == \
+            {"dim": 32, "layers": 1, "heads": 4}
+        s_side = json.loads((d / "s.psck.json").read_text())
+        assert s_side["stage1"] == {"file": "h.psck", "sha256": file_sha256(d / "h.psck")}
+
+    def test_predict_and_eval_next_read_stage1_grids(self, corpus_dir, stage1_run,
+                                                     tmp_path, monkeypatch):
+        d, _, _ = stage1_run
+        models, _ = pat_h.load_heatmap_models(d / "h.psck")
+        assert {1, 3} <= set(models)
+        want = [stage1_grid(corpus_dir, d, "wsi_000", level) for level in (1, 3)]
+        seen = []
+        forward = pat_s.forward_step
+
+        def spy(params, config, f2x, f10x, history):
+            seen.append((f2x.data, f10x.data))
+            return forward(params, config, f2x, f10x, history)
+
+        monkeypatch.setattr(inference, "forward_step", spy)
+        assert run("predict", "--ckpt", str(d / "s.psck"), "--corpus", str(corpus_dir),
+                   "--wsi", "wsi_000", "--n", "3", "--seed", "3",
+                   "--out", str(tmp_path / "p.jsonl")) == 0
+        n_predict = len(seen)
+        monkeypatch.setattr(pat_s, "forward_step", spy)
+        sp = [s for s in read_scanpaths(corpus_dir / "scanpaths.jsonl")
+              if s.wsi_id == "wsi_000"][0]
+        gt = tmp_path / "gt.jsonl"
+        write_scanpaths(gt, [Scanpath(sp.wsi_id, sp.reader_id, sp.fixations[:4])])
+        assert run("eval-next", "--ckpt", str(d / "s.psck"), "--corpus", str(corpus_dir),
+                   "--gt", str(gt), "--report", str(tmp_path / "next.csv")) == 0
+        assert n_predict == 2 and len(seen) == 2 + 3
+        for f2x, f10x in seen:
+            assert np.array_equal(f2x, want[0].astype(np.float32))
+            assert np.array_equal(f10x, want[1].astype(np.float32))
+
+    @pytest.mark.parametrize("fault, message", [
+        ("stage-1 changed", "is missing or changed"),
+        ("stage-1 removed", "is missing or changed"),
+        ("no sidecar", "s.psck.json"),
+    ])
+    def test_missing_or_changed_file_exits_3(self, corpus_dir, stage1_run, tmp_path,
+                                             fault, message, capsys):
+        d, _, _ = stage1_run
+        for name in ("h.psck", "h.psck.json", "s.psck", "s.psck.json"):
+            shutil.copyfile(d / name, tmp_path / name)
+        h = tmp_path / "h.psck"
+        if fault == "stage-1 changed":
+            h.write_bytes(h.read_bytes() + b"\0")
+        elif fault == "stage-1 removed":
+            h.unlink()
+        else:
+            (tmp_path / "s.psck.json").unlink()
+        ckpt = str(tmp_path / "s.psck")
+        assert run("predict", "--ckpt", ckpt, "--corpus", str(corpus_dir), "--wsi",
+                   "wsi_000", "--n", "3", "--out", str(tmp_path / "p.jsonl")) == 3
+        assert run("eval-next", "--ckpt", ckpt, "--corpus", str(corpus_dir),
+                   "--gt", str(corpus_dir / "scanpaths.jsonl"),
+                   "--report", str(tmp_path / "next.csv")) == 3
+        assert message in capsys.readouterr().err
+
+    def test_sidecars_identical_across_directories(self, corpus_dir, stage1_run,
+                                                   tmp_path):
+        d, _, _ = stage1_run
+        other = tmp_path / "elsewhere"
+        other.mkdir()
+        assert train_on_stage1(corpus_dir, other) == 0
+        for name in ("h.psck", "h.psck.json", "s.psck", "s.psck.json"):
+            assert (d / name).read_bytes() == (other / name).read_bytes(), name
 
 
 class TestStatsMag:

@@ -155,10 +155,6 @@ class TestNeedlemanWunsch:
         with pytest.raises(InvalidInputError):
             mx.needleman_wunsch("", "B")
 
-    def test_scoring_validation(self):
-        with pytest.raises(InvalidInputError):
-            mx.AlignScoring(match=-1.0, mismatch=0.0)
-
 
 class TestSss:
     def map(self):

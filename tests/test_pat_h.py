@@ -5,6 +5,7 @@ import pathscan.autodiff as ad
 import pathscan.pat_h as pat_h
 from pathscan.errors import DegenerateInputError, InvalidInputError, ShapeError
 from pathscan.features import FeatureGrid
+from pathscan.io import write_sidecar
 from pathscan.pat_h import Heatmap, HeatmapModelConfig
 from pathscan.trajectory import Fixation, MagLevel
 
@@ -197,7 +198,10 @@ class TestTraining:
         models, _ = pat_h.train_heatmap(self.make_corpus(), config)
         path = tmp_path / "h.psck"
         pat_h.save_heatmap_models(path, models)
-        loaded = pat_h.load_heatmap_models(path)
+        write_sidecar(path, {"epochs": 2}, config, pat_h.SIDECAR_KEYS)
+        loaded, loaded_config = pat_h.load_heatmap_models(path)
+        assert (loaded_config.dim, loaded_config.layers, loaded_config.heads) == \
+            (config.dim, config.layers, config.heads)
         assert set(loaded) == {1}
         for k, t in models[1].items():
             assert np.allclose(loaded[1][k], t.data.astype(np.float32))
