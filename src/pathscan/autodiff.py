@@ -4,6 +4,17 @@ Just enough ops to build and train both transformer sub-networks.
 Arrays are numpy, float64 for gradient-check builds and float32 for
 training.  Broadcasting is limited to what the networks need (leading
 batch dimensions); every op checks the result for NaN/Inf.
+
+Dtype rule: an op's output and every gradient keep the dtype of the
+tensors it is given.  A constant (a Python float, a numpy scalar or an
+array) takes the dtype of the tensor it meets in ``add``, ``sub``,
+``mul`` and ``matmul``; the scalar of ``scale`` and ``pow_const`` is
+coerced with ``float()``, which numpy treats as weakly typed.  So a
+float32 graph stays float32 whatever precision its constants were
+built in.
+
+``backward`` stores ``.grad`` only on leaves (tensors that no op made,
+such as parameters); intermediate tensors keep ``grad is None``.
 """
 
 from __future__ import annotations
@@ -65,8 +76,13 @@ class Tensor:
         return float(self.data.reshape(()))
 
 
-def _as_tensor(x) -> Tensor:
-    return x if isinstance(x, Tensor) else Tensor(np.asarray(x, dtype=np.float64))
+def _as_tensor(x, like=None) -> Tensor:
+    """``x`` itself if it is a Tensor, else a constant in the dtype of
+    ``like`` (float64 when ``like`` is not a Tensor either)."""
+    if isinstance(x, Tensor):
+        return x
+    dtype = like.data.dtype if isinstance(like, Tensor) else np.float64
+    return Tensor(np.asarray(x, dtype=dtype))
 
 
 def _make(data, parents, backward) -> Tensor:
@@ -90,7 +106,7 @@ def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
 
 
 def add(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     try:
         data = a.data + b.data
     except ValueError as e:
@@ -103,7 +119,7 @@ def add(a, b) -> Tensor:
 
 
 def sub(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     try:
         data = a.data - b.data
     except ValueError as e:
@@ -116,7 +132,7 @@ def sub(a, b) -> Tensor:
 
 
 def mul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     try:
         data = a.data * b.data
     except ValueError as e:
@@ -129,7 +145,7 @@ def mul(a, b) -> Tensor:
 
 
 def matmul(a, b) -> Tensor:
-    a, b = _as_tensor(a), _as_tensor(b)
+    a, b = _as_tensor(a, b), _as_tensor(b, a)
     if a.data.ndim < 2 or b.data.ndim < 2:
         raise ShapeError("matmul requires >= 2-D operands")
     try:
@@ -215,7 +231,7 @@ def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
 
 
 def scale(a: Tensor, s: float) -> Tensor:
-    a = _as_tensor(a)
+    a, s = _as_tensor(a), float(s)
 
     def backward(g):
         return (g * s,)
@@ -224,7 +240,7 @@ def scale(a: Tensor, s: float) -> Tensor:
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
-    a = _as_tensor(a)
+    a, p = _as_tensor(a), float(p)
     data = a.data ** p
 
     def backward(g):
@@ -325,9 +341,11 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
     data = table.data[idx]
 
     def backward(g):
-        full = np.zeros_like(table.data)
-        np.add.at(full, idx, g)
-        return (full,)
+        # scatter-add of repeated rows: one bincount over flat (row, column) slots
+        n_rows, width = table.shape[0], table.data[0].size
+        slots = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+        full = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
+        return (full.reshape(table.shape).astype(table.data.dtype, copy=False),)
 
     return _make(data, (table,), backward)
 
@@ -336,9 +354,10 @@ def embedding_lookup(table: Tensor, indices) -> Tensor:
 
 
 def backward(loss: Tensor):
-    """Populate .grad on every requires_grad tensor reachable from loss.
+    """Populate .grad on every requires_grad leaf reachable from loss.
 
-    Repeated calls without zeroing accumulate gradients.
+    Intermediate tensors are not given a .grad.  Repeated calls without
+    zeroing accumulate gradients.
     """
     if loss.data.size != 1:
         raise ContractError("backward requires a scalar loss")
@@ -363,10 +382,8 @@ def backward(loss: Tensor):
         g = grads.pop(id(node), None)
         if g is None:
             continue
-        if node.grad is None:
-            node.grad = np.zeros_like(node.data)
-        node.grad = node.grad + g
         if node._backward is None:
+            node.grad = g.copy() if node.grad is None else node.grad + g
             continue
         parent_grads = node._backward(g)
         for p, pg in zip(node._parents, parent_grads):

@@ -17,8 +17,16 @@ from .trajectory import Fixation, MagLevel, Scanpath
 
 @dataclass
 class IorState:
+    """Visited points, and one suppression mask per radius and grid.
+
+    Points are only ever appended.  A mask is brought up to date with the
+    points visited since its radius was last used, so each point's disk
+    is drawn once per radius instead of at every step.
+    """
+
     radius_px: float
     visited: list[tuple[float, float, int]] = field(default_factory=list)
+    _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius_px <= 0:
@@ -26,6 +34,18 @@ class IorState:
 
     def visit(self, x: float, y: float, mag: MagLevel):
         self.visited.append((x, y, mag.index))
+
+    def mask(self, rows: int, cols: int, wsi_w: float, wsi_h: float) -> np.ndarray:
+        """Cells of a (rows, cols) grid over the WSI whose centre lies
+        within radius_px of a visited point."""
+        key = (self.radius_px, rows, cols, wsi_w, wsi_h)
+        mask, drawn = self._masks.get(key) or (np.zeros((rows, cols), dtype=bool), 0)
+        cx = (np.arange(cols) + 0.5) * (wsi_w / cols)
+        cy = (np.arange(rows) + 0.5) * (wsi_h / rows)
+        for x, y, _ in self.visited[drawn:]:
+            mask |= (cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2 <= self.radius_px ** 2
+        self._masks[key] = (mask, len(self.visited))
+        return mask
 
 
 @dataclass
@@ -44,12 +64,7 @@ class TransitionMatrix:
 def apply_ior(h: Heatmap, state: IorState, wsi_w: float, wsi_h: float) -> Heatmap:
     """Zero every cell within radius_px of a visited point."""
     vals = np.asarray(h.values, dtype=np.float64).copy()
-    rows, cols = vals.shape
-    cx = (np.arange(cols) + 0.5) * (wsi_w / cols)
-    cy = (np.arange(rows) + 0.5) * (wsi_h / rows)
-    for x, y, _ in state.visited:
-        mask = (cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2 <= state.radius_px ** 2
-        vals[mask] = 0.0
+    vals[state.mask(*vals.shape, wsi_w, wsi_h)] = 0.0
     return Heatmap(h.mag, vals)
 
 

@@ -195,24 +195,27 @@ def write_sidecar(ckpt, cfg: dict, config, keys: tuple[str, ...], stage1=None):
     """``<ckpt>.json``: the tool version, and the config file's values
     ``cfg`` updated with the ``keys`` fields of the model's ``config``. A
     stage-2 model trained on stage-1 features also names its stage-1
-    checkpoint, relative to ``ckpt``'s directory, and that file's sha256."""
+    checkpoint, relative to ``ckpt``'s directory, and the sha256 of that
+    file and of its own sidecar, which holds the stage-1 config."""
     rec = {"version": VERSION,
            "config": {**cfg, **{k: getattr(config, k) for k in keys}}}
     if stage1 is not None:
         rec["stage1"] = {"file": os.path.relpath(stage1, Path(ckpt).parent),
-                         "sha256": file_sha256(stage1)}
+                         "sha256": file_sha256(stage1),
+                         "sidecar_sha256": file_sha256(str(stage1) + ".json")}
     Path(str(ckpt) + ".json").write_text(json.dumps(rec))
 
 
 def read_sidecar(ckpt, keys: tuple[str, ...]) -> tuple[dict, tuple | None]:
     """The int ``keys`` of ``<ckpt>.json``'s config, and the stage-1
-    checkpoint's (path, sha256) if the sidecar names one."""
+    checkpoint's (path, sha256, sidecar sha256) if the sidecar names one."""
     sidecar = Path(str(ckpt) + ".json")
     try:
         rec = json.loads(sidecar.read_text())
         config = {k: int(rec["config"][k]) for k in keys}
         ref = rec.get("stage1")
-        stage1 = ref and (Path(ckpt).parent / ref["file"], str(ref["sha256"]))
+        stage1 = ref and (Path(ckpt).parent / ref["file"], str(ref["sha256"]),
+                          str(ref["sidecar_sha256"]))
     except (ValueError, KeyError, TypeError) as e:
         raise FormatError(f"{sidecar}: malformed sidecar: {e!r}") from None
     return config, stage1

@@ -157,7 +157,7 @@ def loss_cc(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
         raise DegenerateInputError("cc loss undefined for constant ground truth")
     p = ad.reshape(pred, (-1,))
     pc = ad.sub(p, ad.mean(p))
-    num = ad.sum_(ad.mul(pc, ad.Tensor(gc)))
+    num = ad.sum_(ad.mul(pc, gc))
     den = ad.pow_const(ad.scale(ad.sum_(ad.mul(pc, pc)), gt_ss), 0.5)
     if den.item() == 0:
         raise DegenerateInputError("cc loss undefined for constant prediction")

@@ -13,6 +13,7 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
+from pathlib import Path
 
 import numpy as np
 
@@ -171,7 +172,7 @@ def cumulative_mag_count(history: list[Fixation]) -> np.ndarray:
 
 def predict_mag(cm: np.ndarray, params: dict[str, ad.Tensor]) -> ad.Tensor:
     """6 sigmoid activations from the cumulative magnification count."""
-    x = ad.Tensor(np.asarray(cm, dtype=np.float64).reshape(1, 6))
+    x = np.asarray(cm).reshape(1, 6)  # a constant: the engine casts it to the head's dtype
     return ad.reshape(ad.sigmoid(nn.linear(params, "maghead", x)), (6,))
 
 
@@ -192,8 +193,8 @@ def focal_loss(
 
     p = ad.clamp(pred, 1e-7, 1.0 - 1e-7)
     one_minus = ad.sub(1.0, p)
-    pos_term = ad.mul(ad.Tensor(pos), ad.mul(ad.pow_const(one_minus, gamma), ad.log(p)))
-    neg_term = ad.mul(ad.Tensor(neg_w), ad.mul(ad.pow_const(p, gamma), ad.log(one_minus)))
+    pos_term = ad.mul(pos, ad.mul(ad.pow_const(one_minus, gamma), ad.log(p)))
+    neg_term = ad.mul(neg_w, ad.mul(ad.pow_const(p, gamma), ad.log(one_minus)))
     total = ad.sum_(ad.add(pos_term, neg_term))
     return ad.scale(total, -1.0 / gt.size)
 
@@ -341,15 +342,17 @@ def load_scanpath_model(
     """Parameters, config and stage-1 ``(models, config)`` (None if it was
     trained on raw grids) of a stage-2 checkpoint, all named by its sidecar.
 
-    A stage-1 file that is missing, or whose sha256 is not the one the
-    sidecar recorded, raises InvalidInputError.
+    A stage-1 file or stage-1 sidecar that is missing, or whose sha256 is
+    not the one the sidecar recorded, raises InvalidInputError.
     """
     config, ref = io.read_sidecar(ckpt, SIDECAR_KEYS)
     params = {k: ad.Tensor(v) for k, v in ad.load_checkpoint(ckpt).items()}
     stage1 = None
     if ref:
-        path, sha = ref
-        if not path.exists() or io.file_sha256(path) != sha:
-            raise InvalidInputError(f"{ckpt}: stage-1 file {path} is missing or changed")
+        path, sha, sidecar_sha = ref
+        for file, want in ((path, sha), (Path(str(path) + ".json"), sidecar_sha)):
+            if not file.exists() or io.file_sha256(file) != want:
+                raise InvalidInputError(
+                    f"{ckpt}: stage-1 file {file} is missing or changed")
         stage1 = pat_h.load_heatmap_models(path)
     return params, ScanpathModelConfig(**config), stage1

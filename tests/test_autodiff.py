@@ -1,5 +1,7 @@
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathscan.autodiff as ad
 from pathscan.errors import ContractError, FormatError, NumericError, ShapeError
@@ -171,6 +173,75 @@ class TestEngine:
             ad.add(ad.Tensor(np.ones((2, 3))), ad.Tensor(np.ones((4, 5))))
         with pytest.raises(ShapeError):
             ad.matmul(ad.Tensor(np.ones(3)), ad.Tensor(np.ones(3)))
+
+
+class TestLeafGradients:
+    @pytest.mark.parametrize("dtype, tol", [(np.float64, 1e-12), (np.float32, 1e-6)])
+    def test_embedding_backward_matches_add_at(self, dtype, tol):
+        rng = np.random.default_rng(2)
+        table = ad.Tensor(rng.standard_normal((5, 3)).astype(dtype), requires_grad=True)
+        idx = [4, 0, 4, 4, 2, 0]
+        w = rng.standard_normal((len(idx), 3)).astype(dtype)
+        ad.backward(ad.sum_(ad.mul(ad.embedding_lookup(table, idx), w)))
+        want = np.zeros((5, 3), dtype=dtype)
+        np.add.at(want, idx, w)
+        assert table.grad.dtype == dtype
+        assert np.abs(table.grad - want).max() < tol
+
+    def test_intermediate_tensors_keep_no_grad(self):
+        a = ad.Tensor(np.array([1.0, 2.0]), requires_grad=True)
+        b = ad.Tensor(np.array([3.0, -1.0]), requires_grad=True)
+        s = ad.add(a, b)
+        p = ad.mul(s, a)
+        loss = ad.sum_(p)
+        ad.backward(loss)
+        assert s.grad is None and p.grad is None and loss.grad is None
+        assert np.array_equal(a.grad, 2 * a.data + b.data)
+        assert np.array_equal(b.grad, a.data)
+
+
+CONSTANTS = {
+    "python float": lambda shape: 0.75,
+    "np.float64 scalar": lambda shape: np.float64(0.75),
+    "float64 array": lambda shape: np.full(shape, 0.75, dtype=np.float64),
+}
+
+
+def every_op(t: ad.Tensor, c, k: float) -> list[ad.Tensor]:
+    """Each op once on t, with the constant c and the scalar k mixed in."""
+    rows, cols = t.shape
+    pos = ad.add(ad.mul(t, t), c)  # > 0
+    return [
+        ad.add(t, c), ad.add(c, t), ad.sub(t, c), ad.sub(c, t),
+        ad.mul(t, c), ad.mul(c, t), t + c, t - c, t * c, -t,
+        ad.matmul(t, np.full((cols, 2), k)), ad.matmul(np.full((2, rows), k), t),
+        ad.matmul(t, ad.transpose(t)),
+        ad.transpose(t), ad.reshape(t, (-1,)), t[0], ad.concat([t, t], axis=0),
+        ad.sum_(t, axis=1), ad.mean(t), ad.scale(t, k), ad.pow_const(pos, k),
+        ad.log(pos), ad.clamp(t, -0.5, 0.5), ad.sigmoid(t), ad.gelu(t),
+        ad.softmax(t, axis=-1), ad.layernorm(t),
+        ad.embedding_lookup(t, [rows - 1, 0, rows - 1]),
+    ]
+
+
+class TestDtypeRule:
+    """A float32 graph stays float32 (and float64 stays float64), whatever
+    precision its constants were built in."""
+
+    @settings(max_examples=60, deadline=None)
+    @given(dtype=st.sampled_from([np.float32, np.float64]),
+           kind=st.sampled_from(sorted(CONSTANTS)),
+           k=st.sampled_from([0.5, np.float64(0.5), np.float64(2.0), np.array(1.5)]),
+           shape=st.tuples(st.integers(1, 4), st.integers(1, 4)),
+           seed=st.integers(0, 2 ** 16))
+    def test_outputs_and_leaf_gradients_keep_their_dtype(self, dtype, kind, k, shape, seed):
+        data = np.random.default_rng(seed).uniform(-2.0, 2.0, shape).astype(dtype)
+        t = ad.Tensor(data, requires_grad=True)
+        outs = every_op(t, CONSTANTS[kind](shape), k)
+        assert [o.data.dtype for o in outs] == [np.dtype(dtype)] * len(outs)
+        loss = ad.sum_(ad.concat([ad.reshape(o, (-1,)) for o in outs]))
+        ad.backward(loss)
+        assert loss.data.dtype == dtype and t.grad.dtype == dtype
 
 
 class TestAdam:

@@ -269,7 +269,8 @@ class TestStage1Checkpoint:
         assert {k: h_side["config"][k] for k in ("dim", "layers", "heads")} == \
             {"dim": 32, "layers": 1, "heads": 4}
         s_side = json.loads((d / "s.psck.json").read_text())
-        assert s_side["stage1"] == {"file": "h.psck", "sha256": file_sha256(d / "h.psck")}
+        assert s_side["stage1"] == {"file": "h.psck", "sha256": file_sha256(d / "h.psck"),
+                                    "sidecar_sha256": file_sha256(d / "h.psck.json")}
 
     def test_predict_and_eval_next_read_stage1_grids(self, corpus_dir, stage1_run,
                                                      tmp_path, monkeypatch):
@@ -304,6 +305,7 @@ class TestStage1Checkpoint:
     @pytest.mark.parametrize("fault, message", [
         ("stage-1 changed", "is missing or changed"),
         ("stage-1 removed", "is missing or changed"),
+        ("stage-1 heads edited", "h.psck.json is missing or changed"),
         ("no sidecar", "s.psck.json"),
     ])
     def test_missing_or_changed_file_exits_3(self, corpus_dir, stage1_run, tmp_path,
@@ -316,6 +318,11 @@ class TestStage1Checkpoint:
             h.write_bytes(h.read_bytes() + b"\0")
         elif fault == "stage-1 removed":
             h.unlink()
+        elif fault == "stage-1 heads edited":
+            side = tmp_path / "h.psck.json"
+            rec = json.loads(side.read_text())
+            rec["config"]["heads"] = 2
+            side.write_text(json.dumps(rec))
         else:
             (tmp_path / "s.psck.json").unlink()
         ckpt = str(tmp_path / "s.psck")

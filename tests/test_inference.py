@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pathscan.inference as inf
+from pathscan.io import write_scanpaths
 import pathscan.pat_s as pat_s
 from pathscan.errors import DegenerateInputError, InvalidInputError
 from pathscan.features import FeatureGrid
@@ -65,6 +66,38 @@ class TestIor:
         want = np.ones((4, 4))
         want[0, :2] = want[1, 0] = 0.0
         assert np.array_equal(out.values, want)
+
+
+def rebuild_ior(h, state, wsi_w, wsi_h):
+    """The per-step rebuild: every visited point's disk, drawn again."""
+    vals = np.asarray(h.values, dtype=np.float64).copy()
+    rows, cols = vals.shape
+    cx = (np.arange(cols) + 0.5) * (wsi_w / cols)
+    cy = (np.arange(rows) + 0.5) * (wsi_h / rows)
+    for x, y, _ in state.visited:
+        vals[(cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2 <= state.radius_px ** 2] = 0.0
+    return Heatmap(h.mag, vals)
+
+
+class TestIorAccumulation:
+    def test_matches_rebuild_as_radius_changes(self):
+        rng = np.random.default_rng(4)
+        state = inf.IorState(radius_px=1.0)
+        for step in range(40):
+            state.visit(*rng.uniform(0, 120.0, 2), MagLevel(0))
+            state.radius_px = float(rng.choice([6.0, 15.0, 30.0]))
+            h = heat(rng.random((12, 12)))
+            got = inf.apply_ior(h, state, 120.0, 120.0)
+            want = rebuild_ior(h, state, 120.0, 120.0)
+            assert got.values.tobytes() == want.values.tobytes(), step
+
+    def test_masks_are_kept_per_grid(self):
+        state = inf.IorState(radius_px=10.0)
+        state.visit(5.0, 5.0, MagLevel(0))
+        for side in (4, 8, 4):
+            h = heat(np.ones((side, side)))
+            assert np.array_equal(inf.apply_ior(h, state, 40.0, 40.0).values,
+                                  rebuild_ior(h, state, 40.0, 40.0).values)
 
 
 class TestNextMag:
@@ -209,3 +242,27 @@ class TestRollout:
             inf.rollout(params, config, f2x, f10x, 0)
         with pytest.raises(InvalidInputError):
             inf.rollout(params, config, f2x, f10x, 3, mode="magic")
+
+
+@pytest.mark.parametrize("radius", [80.0, 160.0, 300.0, None])
+def test_accumulated_ior_rollouts_match_rebuild(rollout_setup, radius, tmp_path,
+                                                monkeypatch):
+    """Seeded rollouts write the same bytes with the accumulated masks as
+    with the per-step rebuild, at fixed radii and at the default radius."""
+    params, config, f2x, f10x = rollout_setup
+    tm = inf.TransitionMatrix(np.full((6, 6), 1.0 / 6.0))
+
+    def scanpaths():
+        out = []
+        for mode in ("probmag", "priormag"):
+            for seed in (0, 1, 2):
+                res = inf.rollout(params, config, f2x, f10x, 30, mode=mode, seed=seed,
+                                  transition_matrix=tm, ior_radius_px=radius)
+                out.append(Scanpath("w", f"{mode}-{seed}-{res.aborted}", res.scanpath.fixations))
+        return out
+
+    write_scanpaths(tmp_path / "accumulated.jsonl", scanpaths())
+    monkeypatch.setattr(inf, "apply_ior", rebuild_ior)
+    write_scanpaths(tmp_path / "rebuilt.jsonl", scanpaths())
+    assert (tmp_path / "accumulated.jsonl").read_bytes() == \
+        (tmp_path / "rebuilt.jsonl").read_bytes()

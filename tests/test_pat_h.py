@@ -207,6 +207,17 @@ class TestTraining:
             assert np.allclose(loaded[1][k], t.data.astype(np.float32))
 
 
+def test_one_epoch_at_default_config_stays_float32():
+    rng = np.random.default_rng(5)
+    config = HeatmapModelConfig(epochs=1)
+    corpus = {m: [(tiny_grid(4, 4, config.dim, seed=m), Heatmap(MagLevel(m), rng.random((4, 4))))]
+              for m in config.mags_trained}
+    models, _ = pat_h.train_heatmap(corpus, config)
+    promoted = {(m, k) for m, ps in models.items() for k, p in ps.items()
+                if p.data.dtype != np.float32}
+    assert set(models) == set(config.mags_trained) and promoted == set()
+
+
 class TestExports:
     def test_pgm_header_and_size(self):
         h = Heatmap(MagLevel(1), np.linspace(0, 1, 12).reshape(3, 4))

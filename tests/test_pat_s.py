@@ -11,6 +11,8 @@ from pathscan.pat_h import gaussian_map
 from pathscan.pat_s import ScanpathModelConfig
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
+from conftest import make_corpus
+
 
 def target_map(shape, cell, mag):
     """The next-fixation target: ``gaussian_map`` of one fixation in ``cell``."""
@@ -273,3 +275,29 @@ class TestTraining:
         assert log1 == log2
         for k in params1:
             assert np.array_equal(params1[k].data, params2[k].data)
+
+
+class TestTrainingDtype:
+    """One stage-2 epoch at the default config keeps the float32 parameters
+    it was initialised with, so the saved checkpoint is the trained model."""
+
+    @pytest.fixture(scope="class")
+    def trained(self):
+        _, scanpaths, provider = make_corpus(n_wsis=1, n_readers=1, n_samples=40,
+                                             seed=7, grid=16, dim=32)
+        config = ScanpathModelConfig(epochs=1)
+        params, _ = pat_s.train_scanpath([(sp.wsi_id, sp) for sp in scanpaths],
+                                         provider, config)
+        return params
+
+    def test_every_parameter_stays_float32(self, trained):
+        assert {k: p.data.dtype for k, p in trained.items()} == \
+            {k: np.dtype(np.float32) for k in trained}
+
+    def test_saved_checkpoint_is_the_trained_model(self, trained, tmp_path):
+        ad.save_checkpoint(tmp_path / "s.psck", trained)
+        loaded = ad.load_checkpoint(tmp_path / "s.psck")
+        assert set(loaded) == set(trained)
+        for k, p in trained.items():
+            assert loaded[k].dtype == p.data.dtype
+            assert loaded[k].tobytes() == p.data.tobytes(), k
