@@ -20,7 +20,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import baselines, inference, metrics, pat_h, pat_s
-from .errors import InvalidInputError, NumericError, PathscanError
+from .errors import (DegenerateInputError, InvalidInputError, NumericError,
+                     PathscanError)
 from .features import SyntheticFeatureProvider
 from .io import (
     VERSION,
@@ -288,16 +289,22 @@ def cmd_eval_next(args) -> int:
 
 
 def cmd_eval_scanpath(args) -> int:
+    """One report row per prediction whose WSI has ground truth and a grade
+    map. TokSimScan averages over the GT scanpaths that share a
+    magnification level with the prediction and SSS over those whose grade
+    string is not empty; either is ``absent`` when no GT qualifies."""
     maps, _, provider, _ = load_corpus(args.corpus)
     preds = read_scanpaths(args.pred)
     gts = read_scanpaths(args.gt)
 
     rows = []
+    skipped = {"no ground truth": 0, "no grade map": 0}
     for pred in preds:
         wsi_id = pred.wsi_id
         gm = maps.get(wsi_id)
         wsi_gts = [sp for sp in gts if sp.wsi_id == wsi_id]
-        if gm is None or not wsi_gts:
+        if not wsi_gts or gm is None:
+            skipped["no grade map" if wsi_gts else "no ground truth"] += 1
             continue
         f10x = provider.get(wsi_id, MagLevel(3))
         wsi_w, wsi_h = f10x.width_px, f10x.height_px
@@ -307,15 +314,22 @@ def cmd_eval_scanpath(args) -> int:
         gt_fix = [f for sp in wsi_gts for f in sp.fixations]
         nss_v = metrics.nss(pred_map, gt_fix, wsi_w, wsi_h)
         auc_v = metrics.auc_judd(pred_map, gt_fix, wsi_w, wsi_h)
-        tok_overall = float(np.mean(
-            [metrics.tok_sim_scan(pred, sp, provider, wsi_id)[1] for sp in wsi_gts]
-        ))
+        toks = []
+        for sp in wsi_gts:
+            try:
+                toks.append(metrics.tok_sim_scan(pred, sp, provider, wsi_id)[1])
+            except DegenerateInputError:  # no shared magnification level
+                pass
+        tok_v = f"{float(np.mean(toks)):.6f}" if toks else "absent"
         try:
             sss_v = f"{metrics.sss(pred, wsi_gts, gm):.6f}"
-        except PathscanError:
+        except DegenerateInputError:  # no fixation on tissue
             sss_v = "absent"
-        rows.append((wsi_id, f"{nss_v:.6f}", f"{auc_v:.6f}",
-                     f"{tok_overall:.6f}", sss_v))
+        rows.append((wsi_id, f"{nss_v:.6f}", f"{auc_v:.6f}", tok_v, sss_v))
+    absent = [sum(row[col] == "absent" for row in rows) for col in (3, 4)]
+    print(f"eval-scanpath: scored {len(rows)} of {len(preds)} predictions; skipped: "
+          + ", ".join(f"{n} {why}" for why, n in skipped.items())
+          + f"; absent: tok_sim_scan {absent[0]}, sss {absent[1]}", file=sys.stderr)
     if not rows:
         raise InvalidInputError("no (pred, gt) pairs share a WSI")
     _write_report(args.report, ("wsi", "nss", "auc", "tok_sim_scan", "sss"), rows)

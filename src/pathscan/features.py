@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, RangeError
-from .synth import GradeMap
+from .synth import GradeMap, off_slide
 from .trajectory import MagLevel
 
 
@@ -67,11 +67,28 @@ def cell_of(
     return min(int(y / height * rows), rows - 1), min(int(x / width * cols), cols - 1)
 
 
+def cells_of(
+    xs: np.ndarray, ys: np.ndarray, rows: int, cols: int, width: float, height: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """``cell_of`` of each point: (row indices, column indices), for points
+    with non-negative coordinates."""
+    r = np.minimum((ys / height * rows).astype(np.intp), rows - 1)
+    c = np.minimum((xs / width * cols).astype(np.intp), cols - 1)
+    return r, c
+
+
 def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
     """Token of the patch containing (x, y), as placed by ``cell_of``."""
     if not (0 <= x < grid.width_px and 0 <= y < grid.height_px):
         raise RangeError(f"({x}, {y}) outside WSI bounds")
     return grid.data[cell_of(x, y, grid.rows, grid.cols, grid.width_px, grid.height_px)]
+
+
+def tokens_at(grid: FeatureGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
+    """``token_at`` of each point, as a (len(xs), dim) array."""
+    if (point := off_slide(xs, ys, grid.width_px, grid.height_px)) is not None:
+        raise RangeError(f"{point} outside WSI bounds")
+    return grid.data[cells_of(xs, ys, grid.rows, grid.cols, grid.width_px, grid.height_px)]
 
 
 class FeatureProvider:

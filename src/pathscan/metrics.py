@@ -7,25 +7,30 @@ from __future__ import annotations
 import numpy as np
 from scipy.stats import rankdata
 
-from .errors import (
-    ContractError,
-    DegenerateInputError,
-    InvalidInputError,
-    ShapeError,
-)
-from .features import FeatureProvider, cell_of, token_at
+from .errors import ContractError, DegenerateInputError, InvalidInputError
+from .features import FeatureProvider, cells_of, token_at, tokens_at
 from .pat_h import Heatmap, gaussian_map
-from .synth import BACKGROUND, GRADE_CHARS, GradeMap
-from .trajectory import Fixation, MagLevel, Scanpath
+from .synth import BACKGROUND, GRADE_CHARS, GradeMap, off_slide
+from .trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
 
 MATCH, MISMATCH, GAP = 1.0, -1.0, -1.0  # Needleman-Wunsch scores
+_GRADE_BYTES = np.frombuffer(GRADE_CHARS.encode("ascii"), dtype=np.uint8)
+
+
+def _xy(fixations: list[Fixation]) -> tuple[np.ndarray, np.ndarray]:
+    return (np.array([f.x for f in fixations], dtype=np.float64),
+            np.array([f.y for f in fixations], dtype=np.float64))
 
 
 def _fixation_cells(
     fixations: list[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
 ) -> set[tuple[int, int]]:
-    rows, cols = shape
-    return {cell_of(f.x, f.y, rows, cols, wsi_w, wsi_h) for f in fixations}
+    """The distinct ``cell_of`` cells of fixations that lie on the slide."""
+    xs, ys = _xy(fixations)
+    if (point := off_slide(xs, ys, wsi_w, wsi_h)) is not None:
+        raise InvalidInputError(f"coordinate outside WSI: {point}")
+    rows, cols = cells_of(xs, ys, shape[0], shape[1], wsi_w, wsi_h)
+    return set(zip(rows.tolist(), cols.tolist()))
 
 
 def nss(h: Heatmap, fixations: list[Fixation], wsi_w: float, wsi_h: float) -> float:
@@ -38,7 +43,7 @@ def nss(h: Heatmap, fixations: list[Fixation], wsi_w: float, wsi_h: float) -> fl
         raise DegenerateInputError("nss is undefined for a constant map")
     z = (vals - vals.mean()) / std
     cells = _fixation_cells(fixations, vals.shape, wsi_w, wsi_h)
-    return float(np.mean([z[rc] for rc in cells]))
+    return float(np.mean(z[tuple(zip(*cells))]))
 
 
 def auc_judd(
@@ -53,8 +58,7 @@ def auc_judd(
         raise InvalidInputError("auc requires at least one fixation")
     vals = np.asarray(h.values, dtype=np.float64)
     mask = np.zeros(vals.shape, dtype=bool)
-    for rc in _fixation_cells(fixations, vals.shape, wsi_w, wsi_h):
-        mask[rc] = True
+    mask[tuple(zip(*_fixation_cells(fixations, vals.shape, wsi_w, wsi_h)))] = True
     n_pos = int(mask.sum())
     n_neg = mask.size - n_pos
     if n_neg == 0:
@@ -66,27 +70,32 @@ def auc_judd(
 
 def grade_string(sp: Scanpath, gm: GradeMap) -> str:
     """Grade labels under the fixation centers; Background fixations dropped."""
-    out = []
-    for f in sp.fixations:
-        label = gm.label_at(f.x, f.y)
-        if label != BACKGROUND:
-            out.append(GRADE_CHARS[label])
-    return "".join(out)
+    labels = gm.labels_at(*_xy(sp.fixations))
+    return _GRADE_BYTES[labels[labels != BACKGROUND]].tobytes().decode("ascii")
 
 
 def needleman_wunsch(a: str, b: str) -> float:
-    """Global alignment score normalized by match * max length, clamped to [0, 1]."""
+    """Global alignment score normalized by match * max length, clamped to [0, 1].
+
+    The table is filled one row per character of the shorter string (the
+    score is symmetric) and stored as u[j] = cell[j] - GAP * j. In that
+    form the in-row gap move, cell[j - 1] + GAP, is u[j - 1], so a row is
+    the running maximum of its diagonal and vertical moves. Every entry
+    is a small integer, so float64 is exact.
+    """
     if not a or not b:
         raise InvalidInputError("alignment requires non-empty strings")
-    n, m = len(a), len(b)
-    prev = [GAP * j for j in range(m + 1)]
-    for i in range(1, n + 1):
-        cur = [GAP * i] + [0.0] * m
-        for j in range(1, m + 1):
-            s = MATCH if a[i - 1] == b[j - 1] else MISMATCH
-            cur[j] = max(prev[j - 1] + s, prev[j] + GAP, cur[j - 1] + GAP)
-        prev = cur
-    norm = prev[m] / (MATCH * max(n, m))
+    if len(a) > len(b):
+        a, b = b, a
+    codes_a = np.frombuffer(a.encode("utf-32-le"), dtype=np.uint32)
+    codes_b = np.frombuffer(b.encode("utf-32-le"), dtype=np.uint32)
+    diag = np.where(codes_a[:, None] == codes_b, MATCH - GAP, MISMATCH - GAP)
+    u, t = np.zeros(len(b) + 1), np.empty(len(b) + 1)
+    for i, d in enumerate(diag, start=1):
+        t[0] = GAP * i
+        np.maximum(u[:-1] + d, u[1:] + GAP, out=t[1:])
+        np.maximum.accumulate(t, out=u)
+    norm = (u[-1] + GAP * len(b)) / (MATCH * len(b))
     return float(min(1.0, max(0.0, norm)))
 
 
@@ -114,6 +123,13 @@ def _cosine(u: np.ndarray, v: np.ndarray) -> float:
     return float(np.dot(u, v) / (nu * nv))
 
 
+def _unit_rows(tokens: np.ndarray) -> np.ndarray:
+    """Rows scaled to unit norm in float64; zero rows stay zero."""
+    t = tokens.astype(np.float64)
+    norms = np.linalg.norm(t, axis=1, keepdims=True)
+    return np.divide(t, norms, out=np.zeros_like(t), where=norms > 0)
+
+
 def tok_sim_scan(
     pred: Scanpath,
     gt: Scanpath,
@@ -123,23 +139,23 @@ def tok_sim_scan(
     """Token similarity per magnification level plus the overall score.
 
     Each predicted fixation takes its best cosine against the GT fixation
-    tokens at the same level; levels absent from either scanpath are
-    skipped.
+    tokens at the same level (a zero token scores 0); levels absent from
+    either scanpath are skipped.
     """
+    px, py = _xy(pred.fixations)
+    gx, gy = _xy(gt.fixations)
+    pmag, gmag = np.array(pred.mag_indices()), np.array(gt.mag_indices())
     per_level: dict[int, float] = {}
     weights: dict[int, int] = {}
-    for idx in range(6):
-        mag = MagLevel(idx)
-        pf = [f for f in pred.fixations if f.mag == mag]
-        gf = [f for f in gt.fixations if f.mag == mag]
-        if not pf or not gf:
+    for idx in range(len(MAG_FACTORS)):
+        pk, gk = pmag == idx, gmag == idx
+        if not pk.any() or not gk.any():
             continue
-        grid = provider.get(wsi_id, mag)
-        ptoks = [token_at(grid, f.x, f.y) for f in pf]
-        gtoks = [token_at(grid, f.x, f.y) for f in gf]
-        scores = [max(_cosine(p, g) for g in gtoks) for p in ptoks]
-        per_level[idx] = float(np.mean(scores))
-        weights[idx] = len(pf)
+        grid = provider.get(wsi_id, MagLevel(idx))
+        ptoks = _unit_rows(tokens_at(grid, px[pk], py[pk]))
+        gtoks = _unit_rows(tokens_at(grid, gx[gk], gy[gk]))
+        per_level[idx] = float((ptoks @ gtoks.T).max(axis=1).mean())
+        weights[idx] = int(pk.sum())
     if not per_level:
         raise DegenerateInputError("scanpaths share no magnification level")
     total = sum(weights.values())

@@ -11,7 +11,7 @@ import pathscan.cli as cli
 import pathscan.inference as inference
 import pathscan.pat_h as pat_h
 import pathscan.pat_s as pat_s
-from pathscan.io import file_sha256, read_scanpaths, write_scanpaths
+from pathscan.io import file_sha256, load_grade_map, read_scanpaths, write_scanpaths
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
 
@@ -199,6 +199,70 @@ class TestTrainPredictEval:
             rows = {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
         assert "spatial_error_mean" in rows
         assert 0 <= rows["mag_accuracy_overall"] <= 100
+
+
+def at_level(sp, level, wsi_id=None, reader_id="r"):
+    """sp's fixations moved to one magnification level."""
+    return Scanpath(wsi_id or sp.wsi_id, reader_id,
+                    [Fixation(f.x, f.y, MagLevel(level), f.dur) for f in sp.fixations])
+
+
+def eval_scanpath(corpus_dir, d, preds, gts):
+    """Exit code of eval-scanpath on the given scanpaths and its report rows."""
+    write_scanpaths(d / "pred.jsonl", preds)
+    write_scanpaths(d / "gt.jsonl", gts)
+    report = d / "report.csv"
+    code = run("eval-scanpath", "--pred", str(d / "pred.jsonl"),
+               "--gt", str(d / "gt.jsonl"), "--corpus", str(corpus_dir),
+               "--report", str(report))
+    if not report.exists():
+        return code, None
+    with open(report) as fh:
+        fh.readline()  # version comment
+        return code, list(csv.DictReader(fh))
+
+
+class TestEvalScanpath:
+    def test_gt_sharing_no_level_is_left_out_of_tok_sim_scan(self, corpus_dir,
+                                                             tmp_path):
+        gt = read_scanpaths(corpus_dir / "scanpaths.jsonl")[0]
+        pred = at_level(gt, 3)
+        shares, cut = at_level(gt, 3, reader_id="a"), at_level(gt, 0, reader_id="b")
+        code, rows = eval_scanpath(corpus_dir, tmp_path, [pred], [shares, cut])
+        assert code == 0
+        assert float(rows[0]["tok_sim_scan"]) == pytest.approx(1.0)
+
+    def test_tok_sim_scan_absent_when_no_gt_shares_a_level(self, corpus_dir, tmp_path):
+        gt = read_scanpaths(corpus_dir / "scanpaths.jsonl")[0]
+        code, rows = eval_scanpath(corpus_dir, tmp_path, [at_level(gt, 3)],
+                                   [at_level(gt, 0)])
+        assert code == 0
+        assert rows[0]["tok_sim_scan"] == "absent"
+        assert float(rows[0]["sss"]) == pytest.approx(1.0)
+
+    def test_point_outside_slide_is_a_data_error(self, corpus_dir, tmp_path, capsys):
+        # the off-slide fixation is at 40X, a level the GT never visits, so
+        # TokSimScan skips it; the grade string still has to place it
+        gt = at_level(read_scanpaths(corpus_dir / "scanpaths.jsonl")[0], 3)
+        width = load_grade_map(corpus_dir / gt.wsi_id).width_px
+        pred = Scanpath(gt.wsi_id, "p", gt.fixations
+                        + [Fixation(width + 10.0, 5.0, MagLevel(5), 0.0)])
+        code, rows = eval_scanpath(corpus_dir, tmp_path, [pred], [gt])
+        assert code == 3 and rows is None
+        assert "outside WSI" in capsys.readouterr().err
+
+    def test_stderr_counts_scored_skipped_and_absent(self, corpus_dir, tmp_path,
+                                                     capsys):
+        gts = read_scanpaths(corpus_dir / "scanpaths.jsonl")
+        gt0 = at_level(gts[0], 3)
+        unmapped = at_level(gts[0], 3, wsi_id="wsi_999")
+        preds = [gt0, gts[1], unmapped, at_level(gts[0], 0)]
+        code, rows = eval_scanpath(corpus_dir, tmp_path, preds, [gt0, unmapped])
+        assert code == 0
+        assert [r["tok_sim_scan"] == "absent" for r in rows] == [False, True]
+        assert capsys.readouterr().err.splitlines() == [
+            "eval-scanpath: scored 2 of 4 predictions; skipped: 1 no ground truth, "
+            "1 no grade map; absent: tok_sim_scan 1, sss 0"]
 
 
 def test_sidecar_rebuilds_checkpoint_shapes(corpus_dir, scanpath_ckpt):

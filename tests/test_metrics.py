@@ -3,13 +3,21 @@ import math
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 import pathscan.metrics as mx
-from pathscan.errors import ContractError, DegenerateInputError, InvalidInputError
-from pathscan.features import FeatureGrid
+from pathscan.errors import (
+    ContractError,
+    DegenerateInputError,
+    InvalidInputError,
+    PathscanError,
+    RangeError,
+)
+from pathscan.features import FeatureGrid, cell_of, token_at
 from pathscan.pat_h import Heatmap
-from pathscan.synth import GradeMap
-from pathscan.trajectory import Fixation, MagLevel, Scanpath
+from pathscan.synth import BACKGROUND, GRADE_CHARS, GradeMap
+from pathscan.trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
 
 
 def heat(values):
@@ -154,6 +162,202 @@ class TestNeedlemanWunsch:
     def test_empty_rejected(self):
         with pytest.raises(InvalidInputError):
             mx.needleman_wunsch("", "B")
+
+
+def nw_python_loop(a, b):
+    """The Python double loop that ``needleman_wunsch`` replaced."""
+    n, m = len(a), len(b)
+    prev = [mx.GAP * j for j in range(m + 1)]
+    for i in range(1, n + 1):
+        cur = [mx.GAP * i] + [0.0] * m
+        for j in range(1, m + 1):
+            s = mx.MATCH if a[i - 1] == b[j - 1] else mx.MISMATCH
+            cur[j] = max(prev[j - 1] + s, prev[j] + mx.GAP, cur[j - 1] + mx.GAP)
+        prev = cur
+    norm = prev[m] / (mx.MATCH * max(n, m))
+    return float(min(1.0, max(0.0, norm)))
+
+
+@st.composite
+def grade_string_pair(draw):
+    """Two strings over the grade alphabet, of any lengths in 1..120 or of
+    very unequal lengths (1..4 against 100..120)."""
+    letters = GRADE_CHARS[BACKGROUND + 1:]
+    if draw(st.booleans()):
+        short, long_ = st.text(letters, min_size=1, max_size=4), \
+            st.text(letters, min_size=100, max_size=120)
+        a, b = draw(short), draw(long_)
+        return (a, b) if draw(st.booleans()) else (b, a)
+    return (draw(st.text(letters, min_size=1, max_size=120)),
+            draw(st.text(letters, min_size=1, max_size=120)))
+
+
+class TestNeedlemanWunschRows:
+    @settings(max_examples=200, deadline=None)
+    @given(grade_string_pair())
+    def test_equals_python_loop(self, pair):
+        a, b = pair
+        assert mx.needleman_wunsch(a, b) == nw_python_loop(a, b)
+        assert mx.needleman_wunsch(b, a) == nw_python_loop(a, b)
+
+
+@st.composite
+def grade_map_and_points(draw):
+    """A grade map with rows != cols allowed and fixations anywhere on it,
+    on cell boundaries, on the far edges, and (sometimes) one off it."""
+    h = draw(st.integers(8, 20))
+    w = draw(st.integers(8, 20))
+    cell = draw(st.sampled_from([1.0, 10.0, 385.8]) | st.floats(0.5, 500.0))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gm = GradeMap(rng.integers(0, 5, (h, w)).astype(np.int8), cell)
+    points = draw(st.lists(frame_point(gm.width_px, gm.height_px, cell, cell),
+                           min_size=1, max_size=30))
+    if draw(st.integers(0, 4)) == 0:
+        points.insert(draw(st.integers(0, len(points))),
+                      draw(outside_point(gm.width_px, gm.height_px)))
+    return gm, [Fixation(x, y, MagLevel(draw(st.integers(0, 5))), 0.0)
+                for x, y in points]
+
+
+def frame_point(width, height, step_x, step_y):
+    """A point in [0, width) x [0, height): anywhere, on a boundary of a
+    step_x by step_y lattice, or on the far edges."""
+    def on_lattice(step, size):
+        return st.integers(0, int(size / step) - 1).map(lambda k: k * step)
+
+    def near_edge(size):
+        return st.just(float(np.nextafter(size, 0.0)))
+
+    axis_x = (st.floats(0.0, width, exclude_max=True) | on_lattice(step_x, width)
+              | near_edge(width))
+    axis_y = (st.floats(0.0, height, exclude_max=True) | on_lattice(step_y, height)
+              | near_edge(height))
+    return st.tuples(axis_x, axis_y)
+
+
+def outside_point(width, height):
+    return st.sampled_from([(-1e-9, 0.0), (width, 0.0), (0.0, height),
+                            (-width, height / 2), (width / 2, 2 * height)])
+
+
+def outcome(fn, *args):
+    """fn's result, or the class of the package error it raised."""
+    try:
+        return fn(*args)
+    except PathscanError as e:
+        return type(e)
+
+
+class TestVectorizedCells:
+    @settings(max_examples=200, deadline=None)
+    @given(grade_map_and_points())
+    def test_grade_string_equals_label_at(self, case):
+        gm, fixations = case
+
+        def per_point():
+            labels = [gm.label_at(f.x, f.y) for f in fixations]
+            return "".join(GRADE_CHARS[v] for v in labels if v != BACKGROUND)
+
+        want = outcome(per_point)
+        got = outcome(mx.grade_string, Scanpath("w", "r", fixations), gm)
+        assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(grade_map_and_points(), st.integers(1, 40), st.integers(1, 40))
+    def test_fixation_cells_equal_cell_of(self, case, rows, cols):
+        gm, fixations = case
+        w, h = gm.width_px, gm.height_px
+        if all(0 <= f.x < w and 0 <= f.y < h for f in fixations):
+            want = {cell_of(f.x, f.y, rows, cols, w, h) for f in fixations}
+        else:
+            want = InvalidInputError
+        assert outcome(mx._fixation_cells, fixations, (rows, cols), w, h) == want
+
+
+def tok_sim_scan_loop(pred, gt, provider, wsi_id):
+    """Per-pair ``_cosine`` loop over ``token_at`` tokens, level by level."""
+    per_level, weights = {}, {}
+    for idx in range(len(MAG_FACTORS)):
+        pf = [f for f in pred.fixations if f.mag.index == idx]
+        gf = [f for f in gt.fixations if f.mag.index == idx]
+        if not pf or not gf:
+            continue
+        grid = provider.get(wsi_id, MagLevel(idx))
+        ptoks = [token_at(grid, f.x, f.y) for f in pf]
+        gtoks = [token_at(grid, f.x, f.y) for f in gf]
+        per_level[idx] = float(np.mean([max(mx._cosine(p, g) for g in gtoks)
+                                        for p in ptoks]))
+        weights[idx] = len(pf)
+    if not per_level:
+        raise DegenerateInputError("scanpaths share no magnification level")
+    overall = sum(per_level[i] * weights[i] for i in per_level) / sum(weights.values())
+    return per_level, overall
+
+
+@st.composite
+def token_grids_and_scanpaths(draw):
+    """One float32 grid per level over a (possibly non-square) slide, some
+    tokens zero, and two scanpaths on up to three of the levels; sometimes
+    one fixation lies off the slide."""
+    width = draw(st.floats(10.0, 5000.0))
+    height = draw(st.floats(10.0, 5000.0))
+    dim = draw(st.integers(2, 8))
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    grids = {}
+    for idx in range(len(MAG_FACTORS)):
+        rows, cols = draw(st.integers(1, 12)), draw(st.integers(1, 12))
+        data = rng.standard_normal((rows, cols, dim)).astype(np.float32)
+        data[rng.random((rows, cols)) < draw(st.sampled_from([0.0, 0.3]))] = 0.0
+        grids[idx] = FeatureGrid(MagLevel(idx), data, width, height)
+    levels = draw(st.lists(st.integers(0, 5), min_size=1, max_size=3, unique=True))
+
+    def scanpath():
+        fixations = []
+        for _ in range(draw(st.integers(1, 25))):
+            idx = draw(st.sampled_from(levels))
+            g = grids[idx]
+            x, y = draw(frame_point(width, height, width / g.cols, height / g.rows))
+            fixations.append(Fixation(x, y, MagLevel(idx), 0.0))
+        if draw(st.integers(0, 5)) == 0:
+            x, y = draw(outside_point(width, height))
+            fixations.append(Fixation(x, y, MagLevel(draw(st.sampled_from(levels))), 0.0))
+        return Scanpath("w", "r", fixations)
+
+    return toy_provider(grids), scanpath(), scanpath()
+
+
+class TestTokSimScanMatmul:
+    @settings(max_examples=200, deadline=None)
+    @given(token_grids_and_scanpaths())
+    def test_equals_cosine_loop(self, case):
+        provider, pred, gt = case
+        want = outcome(tok_sim_scan_loop, pred, gt, provider, "w")
+        got = outcome(mx.tok_sim_scan, pred, gt, provider, "w")
+        if isinstance(want, type):
+            assert got is want
+            return
+        (per, overall), (want_per, want_overall) = got, want
+        assert per.keys() == want_per.keys()
+        for idx in per:
+            assert per[idx] == pytest.approx(want_per[idx], abs=1e-6)
+        assert overall == pytest.approx(want_overall, abs=1e-6)
+
+    def test_point_outside_slide_raises_range_error(self):
+        data = np.ones((2, 2, 3), dtype=np.float32)
+        provider = toy_provider({3: FeatureGrid(MagLevel(3), data, 100.0, 50.0)})
+        pred = Scanpath("w", "p", [fix(10, 10), fix(20, 50)])  # y == height
+        gt = Scanpath("w", "g", [fix(10, 10)])
+        with pytest.raises(RangeError):
+            mx.tok_sim_scan(pred, gt, provider, "w")
+
+    def test_zero_token_scores_zero(self):
+        data = np.zeros((1, 2, 2), dtype=np.float32)
+        data[0, 1] = [3, 4]
+        provider = toy_provider({3: FeatureGrid(MagLevel(3), data, 100.0, 50.0)})
+        pred = Scanpath("w", "p", [fix(10, 10), fix(60, 10)])  # zero, [3, 4]
+        gt = Scanpath("w", "g", [fix(10, 10), fix(99, 49)])
+        per, overall = mx.tok_sim_scan(pred, gt, provider, "w")
+        assert per == {3: 0.5} and overall == 0.5
 
 
 class TestSss:
