@@ -246,8 +246,10 @@ def cmd_eval_next(args) -> int:
     sp_errors, tok_sims = [], []
     grids = {w: pat_s.stage2_grids(provider, w, stage1)
              for w in {sp.wsi_id for sp in gt_scanpaths} & maps.keys()}
+    skipped = {"shorter than 2": 0, "unknown WSI": 0}
     for sp in gt_scanpaths:
         if sp.wsi_id not in maps or len(sp) < 2:
+            skipped["unknown WSI" if sp.wsi_id not in maps else "shorter than 2"] += 1
             continue
         f2x, f10x = grids[sp.wsi_id]
         for k in range(1, len(sp)):
@@ -268,13 +270,19 @@ def cmd_eval_next(args) -> int:
             )
             events.append((history[-1].mag.index, target.mag.index, pred_mag.index))
 
+    try:
+        change_acc, per_change = metrics.mag_change_accuracy(events)
+    except DegenerateInputError:  # no magnification-change event
+        change_acc, per_change = float("nan"), {}
+    scored = len(gt_scanpaths) - sum(skipped.values())
+    print(f"eval-next: scored {len(events)} events from {scored} of "
+          f"{len(gt_scanpaths)} scanpaths; skipped: "
+          + ", ".join(f"{n} {why}" for why, n in skipped.items())
+          + f"; mag_change_accuracy {'defined' if per_change else 'undefined'}",
+          file=sys.stderr)
     if not events:
         raise InvalidInputError("no evaluable next-fixation events")
     overall_acc, per_acc = metrics.mag_accuracy(events)
-    try:
-        change_acc, per_change = metrics.mag_change_accuracy(events)
-    except PathscanError:
-        change_acc, per_change = float("nan"), {}
     rows.append(("spatial_error_mean", float(np.mean(sp_errors))))
     rows.append(("spatial_mse", float(np.mean(np.square(sp_errors)))))
     rows.append(("tok_sim_fix_mean", float(np.mean(tok_sims))))

@@ -13,7 +13,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .errors import InvalidConfigError, RangeError
-from .synth import GradeMap, off_slide
+from .synth import GradeMap
 from .trajectory import MagLevel
 
 
@@ -62,32 +62,38 @@ def cell_of(
     x: float, y: float, rows: int, cols: int, width: float, height: float
 ) -> tuple[int, int]:
     """(row, col) of the patch containing (x, y) on a rows x cols grid that
-    spans width x height; a point on a patch boundary belongs to the patch
-    that starts there, and the far edges clamp to the last patch."""
-    return min(int(y / height * rows), rows - 1), min(int(x / width * cols), cols - 1)
+    spans width x height. A point outside [0, width) x [0, height) raises
+    RangeError, the one bounds check every token, position, target and
+    metric inherits. A point on a patch boundary belongs to the patch that
+    starts there, exactly whenever the patch size width / cols is exactly
+    representable; one whose product rounds up to the far edge stays in
+    the last patch."""
+    if not (0 <= x < width and 0 <= y < height):
+        raise RangeError(f"({x}, {y}) outside WSI bounds")
+    return min(int(y * rows / height), rows - 1), min(int(x * cols / width), cols - 1)
 
 
 def cells_of(
     xs: np.ndarray, ys: np.ndarray, rows: int, cols: int, width: float, height: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``cell_of`` of each point: (row indices, column indices), for points
-    with non-negative coordinates."""
-    r = np.minimum((ys / height * rows).astype(np.intp), rows - 1)
-    c = np.minimum((xs / width * cols).astype(np.intp), cols - 1)
+    """``cell_of`` of each point: (row indices, column indices); the first
+    point off the slide raises RangeError."""
+    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
+    if not inside.all():
+        k = int(np.argmin(inside))
+        raise RangeError(f"({float(xs[k])}, {float(ys[k])}) outside WSI bounds")
+    r = np.minimum((ys * rows / height).astype(np.intp), rows - 1)
+    c = np.minimum((xs * cols / width).astype(np.intp), cols - 1)
     return r, c
 
 
 def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
     """Token of the patch containing (x, y), as placed by ``cell_of``."""
-    if not (0 <= x < grid.width_px and 0 <= y < grid.height_px):
-        raise RangeError(f"({x}, {y}) outside WSI bounds")
     return grid.data[cell_of(x, y, grid.rows, grid.cols, grid.width_px, grid.height_px)]
 
 
 def tokens_at(grid: FeatureGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
     """``token_at`` of each point, as a (len(xs), dim) array."""
-    if (point := off_slide(xs, ys, grid.width_px, grid.height_px)) is not None:
-        raise RangeError(f"{point} outside WSI bounds")
     return grid.data[cells_of(xs, ys, grid.rows, grid.cols, grid.width_px, grid.height_px)]
 
 

@@ -24,6 +24,21 @@ def _meta_record(config: dict | None) -> dict:
     return {"_meta": {"version": VERSION, "config": config or {}}}
 
 
+def _records(path):
+    """(line number, record) of each non-blank, non-``_meta`` JSONL line."""
+    with open(path) as fh:
+        for lineno, line in enumerate(fh, start=1):
+            line = line.strip()
+            if not line:
+                continue
+            try:
+                rec = json.loads(line)
+            except json.JSONDecodeError as e:
+                raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {e}") from None
+            if "_meta" not in rec:
+                yield lineno, rec
+
+
 def write_trajectories(path, trajectories: list[RawTrajectory], config: dict | None = None):
     with open(path, "w") as fh:
         fh.write(json.dumps(_meta_record(config)) + "\n")
@@ -58,31 +73,21 @@ def read_trajectories(path) -> list[RawTrajectory]:
             groups.append(RawTrajectory(*meta_fields, samples))
         samples = []
 
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {e}") from None
-            if "_meta" in rec:
-                continue
-            try:
-                mag = MagLevel.from_factor(int(rec["mag"]))
-                sample = ViewportSample(
-                    float(rec["x"]), float(rec["y"]), mag, float(rec["t_ms"])
-                )
-                rec_key = (rec["wsi"], rec["reader"])
-                fields = (rec["wsi"], rec["reader"], rec.get("expertise", "general"))
-            except (KeyError, ValueError, TypeError, InvalidInputError) as e:
-                raise InvalidInputError(f"{path}:{lineno}: {e}") from None
-            if rec_key != key:
-                flush()
-                key = rec_key
-                meta_fields = fields
-            samples.append(sample)
+    for lineno, rec in _records(path):
+        try:
+            mag = MagLevel.from_factor(int(rec["mag"]))
+            sample = ViewportSample(
+                float(rec["x"]), float(rec["y"]), mag, float(rec["t_ms"])
+            )
+            rec_key = (rec["wsi"], rec["reader"])
+            fields = (rec["wsi"], rec["reader"], rec.get("expertise", "general"))
+        except (KeyError, ValueError, TypeError, InvalidInputError) as e:
+            raise InvalidInputError(f"{path}:{lineno}: {e}") from None
+        if rec_key != key:
+            flush()
+            key = rec_key
+            meta_fields = fields
+        samples.append(sample)
     flush()
     return groups
 
@@ -107,28 +112,18 @@ def write_scanpaths(path, scanpaths: list[Scanpath], config: dict | None = None,
 
 def read_scanpaths(path) -> list[Scanpath]:
     out: list[Scanpath] = []
-    with open(path) as fh:
-        for lineno, line in enumerate(fh, start=1):
-            line = line.strip()
-            if not line:
-                continue
-            try:
-                rec = json.loads(line)
-            except json.JSONDecodeError as e:
-                raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {e}") from None
-            if "_meta" in rec:
-                continue
-            try:
-                fixations = [
-                    Fixation(
-                        float(f["x"]), float(f["y"]),
-                        MagLevel.from_factor(int(f["mag"])), float(f["dur_ms"])
-                    )
-                    for f in rec["fixations"]
-                ]
-                out.append(Scanpath(rec["wsi"], rec["reader"], fixations))
-            except (KeyError, ValueError, TypeError, InvalidInputError) as e:
-                raise InvalidInputError(f"{path}:{lineno}: {e}") from None
+    for lineno, rec in _records(path):
+        try:
+            fixations = [
+                Fixation(
+                    float(f["x"]), float(f["y"]),
+                    MagLevel.from_factor(int(f["mag"])), float(f["dur_ms"])
+                )
+                for f in rec["fixations"]
+            ]
+            out.append(Scanpath(rec["wsi"], rec["reader"], fixations))
+        except (KeyError, ValueError, TypeError, InvalidInputError) as e:
+            raise InvalidInputError(f"{path}:{lineno}: {e}") from None
     return out
 
 

@@ -10,7 +10,7 @@ from scipy.stats import rankdata
 from .errors import ContractError, DegenerateInputError, InvalidInputError
 from .features import FeatureProvider, cells_of, token_at, tokens_at
 from .pat_h import Heatmap, gaussian_map
-from .synth import BACKGROUND, GRADE_CHARS, GradeMap, off_slide
+from .synth import BACKGROUND, GRADE_CHARS, GradeMap
 from .trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
 
 MATCH, MISMATCH, GAP = 1.0, -1.0, -1.0  # Needleman-Wunsch scores
@@ -25,11 +25,8 @@ def _xy(fixations: list[Fixation]) -> tuple[np.ndarray, np.ndarray]:
 def _fixation_cells(
     fixations: list[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
 ) -> set[tuple[int, int]]:
-    """The distinct ``cell_of`` cells of fixations that lie on the slide."""
-    xs, ys = _xy(fixations)
-    if (point := off_slide(xs, ys, wsi_w, wsi_h)) is not None:
-        raise InvalidInputError(f"coordinate outside WSI: {point}")
-    rows, cols = cells_of(xs, ys, shape[0], shape[1], wsi_w, wsi_h)
+    """The distinct ``cell_of`` cells of the fixations."""
+    rows, cols = cells_of(*_xy(fixations), shape[0], shape[1], wsi_w, wsi_h)
     return set(zip(rows.tolist(), cols.tolist()))
 
 
@@ -70,7 +67,8 @@ def auc_judd(
 
 def grade_string(sp: Scanpath, gm: GradeMap) -> str:
     """Grade labels under the fixation centers; Background fixations dropped."""
-    labels = gm.labels_at(*_xy(sp.fixations))
+    xs, ys = _xy(sp.fixations)
+    labels = gm.grid[cells_of(xs, ys, *gm.grid.shape, gm.width_px, gm.height_px)]
     return _GRADE_BYTES[labels[labels != BACKGROUND]].tobytes().decode("ascii")
 
 

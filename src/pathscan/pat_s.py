@@ -104,7 +104,7 @@ def build_memory(
 
     Temporal embeddings index fixations by recency (most recent = 1) so
     the last fixation stays directly addressable at any prefix length.
-    A fixation outside the WSI raises RangeError from ``token_at``.
+    A fixation outside the WSI raises RangeError from ``cell_of``.
     """
     n_wsi = f2x.rows * f2x.cols
     feats = [f2x.flat().astype(config.dtype)]
@@ -114,8 +114,7 @@ def build_memory(
         )
     raw = nn.linear(params, "inproj", ad.Tensor(np.concatenate(feats, axis=0)))
 
-    pos_idx = [r * f2x.cols + c for r in range(f2x.rows) for c in range(f2x.cols)]
-    pos_idx += [_pos_index(f2x, f.x, f.y) for f in history]
+    pos_idx = list(range(n_wsi)) + [_pos_index(f2x, f.x, f.y) for f in history]
     scale_idx = [0] * n_wsi + [1] * len(history)
     n_h = len(history)
     temp_idx = [0] * n_wsi + [min(n_h - i, TEMPORAL_CAP) for i in range(n_h)]

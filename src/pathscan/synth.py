@@ -22,17 +22,6 @@ GRADE_NAMES = ("Background", "Benign", "G3", "G4", "G5")
 GRADE_CHARS = ".B345"
 
 
-def off_slide(
-    xs: np.ndarray, ys: np.ndarray, width: float, height: float
-) -> tuple[float, float] | None:
-    """The first point outside [0, width) x [0, height), or None."""
-    inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
-    if inside.all():
-        return None
-    k = int(np.argmin(inside))
-    return float(xs[k]), float(ys[k])
-
-
 @dataclass
 class GradeMap:
     grid: np.ndarray  # (H_g, W_g) int8 codes 0..4
@@ -50,21 +39,6 @@ class GradeMap:
     @property
     def width_px(self) -> float:
         return self.grid.shape[1] * self.cell_size
-
-    def label_at(self, x: float, y: float) -> int:
-        r = min(int(y // self.cell_size), self.grid.shape[0] - 1)
-        c = min(int(x // self.cell_size), self.grid.shape[1] - 1)
-        if x < 0 or y < 0 or x >= self.width_px or y >= self.height_px:
-            raise InvalidInputError(f"coordinate outside WSI: ({x}, {y})")
-        return int(self.grid[r, c])
-
-    def labels_at(self, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-        """``label_at`` of each point."""
-        if (point := off_slide(xs, ys, self.width_px, self.height_px)) is not None:
-            raise InvalidInputError(f"coordinate outside WSI: {point}")
-        r = np.minimum((ys // self.cell_size).astype(np.intp), self.grid.shape[0] - 1)
-        c = np.minimum((xs // self.cell_size).astype(np.intp), self.grid.shape[1] - 1)
-        return self.grid[r, c]
 
     def to_text(self) -> str:
         return "\n".join("".join(GRADE_CHARS[v] for v in row) for row in self.grid)

@@ -265,6 +265,74 @@ class TestEvalScanpath:
             "1 no grade map; absent: tok_sim_scan 1, sss 0"]
 
 
+def eval_next(corpus_dir, ckpt, d, gts):
+    """Exit code of eval-next on the given ground truth and its report rows."""
+    write_scanpaths(d / "gt.jsonl", gts)
+    report = d / "next.csv"
+    code = run("eval-next", "--ckpt", str(ckpt), "--corpus", str(corpus_dir),
+               "--gt", str(d / "gt.jsonl"), "--report", str(report))
+    if not report.exists():
+        return code, None
+    with open(report) as fh:
+        fh.readline()  # version comment
+        return code, {r["metric"]: float(r["value"]) for r in csv.DictReader(fh)}
+
+
+class TestEvalNext:
+    def test_stderr_counts_events_skipped_and_change_accuracy(
+            self, corpus_dir, scanpath_ckpt, tmp_path, capsys):
+        gts = read_scanpaths(corpus_dir / "scanpaths.jsonl")
+        stay = at_level(gts[0], 3)
+        short = Scanpath(gts[1].wsi_id, "s", gts[1].fixations[:1])
+        unmapped = at_level(gts[1], 3, wsi_id="wsi_999")
+
+        code, rows = eval_next(corpus_dir, scanpath_ckpt, tmp_path,
+                               [stay, short, unmapped])
+        assert code == 0 and np.isnan(rows["mag_change_accuracy_overall"])
+        assert capsys.readouterr().err.splitlines() == [
+            f"eval-next: scored {len(stay) - 1} events from 1 of 3 scanpaths; "
+            "skipped: 1 shorter than 2, 1 unknown WSI; mag_change_accuracy undefined"]
+
+        code, rows = eval_next(corpus_dir, scanpath_ckpt, tmp_path, [gts[0]])
+        assert code == 0 and not np.isnan(rows["mag_change_accuracy_overall"])
+        assert capsys.readouterr().err.splitlines() == [
+            f"eval-next: scored {len(gts[0]) - 1} events from 1 of 1 scanpaths; "
+            "skipped: 0 shorter than 2, 0 unknown WSI; mag_change_accuracy defined"]
+
+    def test_nothing_to_score_is_a_data_error(self, corpus_dir, scanpath_ckpt,
+                                              tmp_path, capsys):
+        gts = read_scanpaths(corpus_dir / "scanpaths.jsonl")
+        code, rows = eval_next(corpus_dir, scanpath_ckpt, tmp_path,
+                               [at_level(gts[0], 3, wsi_id="wsi_999")])
+        assert code == 3 and rows is None
+        assert capsys.readouterr().err.splitlines()[0] == (
+            "eval-next: scored 0 events from 0 of 1 scanpaths; "
+            "skipped: 0 shorter than 2, 1 unknown WSI; mag_change_accuracy undefined")
+
+
+@pytest.fixture(scope="module")
+def off_slide_corpus(tmp_path_factory, corpus_dir):
+    """corpus_dir with the last fixation of its first scanpath moved off the
+    slide, to x = -300 at 10X, a level both training stages read."""
+    out = tmp_path_factory.mktemp("offslide") / "c"
+    shutil.copytree(corpus_dir, out)
+    sps = read_scanpaths(out / "scanpaths.jsonl")
+    last = sps[0].fixations[-1]
+    sps[0].fixations[-1] = Fixation(-300.0, last.y, MagLevel(3), last.dur)
+    write_scanpaths(out / "scanpaths.jsonl", sps)
+    return out
+
+
+@pytest.mark.parametrize("command", ["train-heatmap", "train-scanpath"])
+def test_training_on_an_off_slide_fixation_is_a_data_error(
+        command, off_slide_corpus, train_cfg, tmp_path, capsys):
+    # the last fixation is read only as a training target, so placing the
+    # target is what has to reject it
+    assert run(command, "--corpus", str(off_slide_corpus), "--config", str(train_cfg),
+               "--out", str(tmp_path / "m.psck")) == 3
+    assert "outside WSI" in capsys.readouterr().err
+
+
 def test_sidecar_rebuilds_checkpoint_shapes(corpus_dir, scanpath_ckpt):
     """The sidecar keys a reader of a stage-2 checkpoint relies on: five int
     config values from which init_scanpath_params rebuilds every name and

@@ -2,7 +2,7 @@ from dataclasses import replace
 
 import numpy as np
 import pytest
-from hypothesis import given, settings
+from hypothesis import example, given, settings
 from hypothesis import strategies as st
 
 import pathscan.metrics as mx
@@ -12,12 +12,15 @@ from pathscan.features import (
     FeatureGrid,
     SyntheticFeatureProvider,
     cell_of,
+    cells_of,
     embed,
     token_at,
+    tokens_at,
 )
 from pathscan.pat_h import gaussian_map
-from pathscan.synth import GradeMap, gen_wsi
-from pathscan.trajectory import Fixation, MagLevel
+from pathscan.synth import GRADE_CHARS, GradeMap, gen_wsi
+from pathscan.trajectory import Fixation, MagLevel, Scanpath
+from test_metrics import outcome, outside_point
 
 
 class TestEmbed:
@@ -103,44 +106,84 @@ class TestSyntheticProvider:
 
 @st.composite
 def grid_and_point(draw):
-    """A provider grid over a grade map with rows != cols, its 10X grid
-    index-coded, and a point inside the WSI: anywhere, on a patch corner,
-    or at the centre."""
+    """A provider grid over a random grade map with rows != cols, its 1X
+    grid index-coded, the point's kind, and a point: anywhere inside the
+    WSI, on a patch corner, at the centre, or off the slide."""
     w_g = draw(st.integers(8, 40))
     h_g = draw(st.integers(8, 39))
     h_g += h_g >= w_g
     cell = draw(st.sampled_from([1.0, 100.0, 256.0, 385.8]) | st.floats(1.0, 1000.0))
-    gm = GradeMap(np.zeros((h_g, w_g), dtype=np.int8), cell)
+    rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
+    gm = GradeMap(rng.integers(0, 5, (h_g, w_g)).astype(np.int8), cell)
     provider = SyntheticFeatureProvider({"w": gm}, dim=8,
                                         base_grid=draw(st.integers(1, 40)), max_side=40)
     grid = provider.get("w", MagLevel(0))
     grid = replace(grid, data=np.indices((grid.rows, grid.cols)).transpose(1, 2, 0))
-    kind = draw(st.sampled_from(["anywhere", "corner", "centre"]))
+    kind = draw(st.sampled_from(["anywhere", "corner", "centre", "off the slide"]))
     if kind == "centre":
         x, y = gm.width_px / 2.0, gm.height_px / 2.0
     elif kind == "corner":
         x = draw(st.integers(0, grid.cols - 1)) * gm.width_px / grid.cols
         y = draw(st.integers(0, grid.rows - 1)) * gm.height_px / grid.rows
-    else:
+    elif kind == "anywhere":
         x = draw(st.floats(0.0, gm.width_px, exclude_max=True))
         y = draw(st.floats(0.0, gm.height_px, exclude_max=True))
-    return gm, grid, x, y
+    else:
+        x, y = draw(outside_point(gm.width_px, gm.height_px))
+    return gm, grid, kind, x, y
 
 
 class TestOnePatchConvention:
     @settings(max_examples=300, deadline=None)
     @given(grid_and_point())
     def test_token_position_target_and_metric_cells_agree(self, case):
-        # tokens, positions and stage-2 targets place a fixation with the
-        # grid's frame; metrics and the stage-1 ground truth read the grade map's
-        gm, grid, x, y = case
+        # every site places a point in the cell_of cell, or raises RangeError
+        # for a point off the slide; tokens, positions and stage-2 targets
+        # read the grid's frame, metrics and stage-1 ground truth the grade map's
+        gm, grid, kind, x, y = case
+        w, h = gm.width_px, gm.height_px
         shape = (grid.rows, grid.cols)
         f = Fixation(x, y, MagLevel(3), 0.0)
-        token = tuple(int(v) for v in token_at(grid, x, y))
-        position = divmod(pat_s._pos_index(grid, x, y), grid.cols)
-        target = pat_s.fixation_cell(grid, f)
-        peak = np.unravel_index(
-            np.argmax(gaussian_map([f], shape, gm.width_px, gm.height_px)), shape)
-        (metric,) = mx._fixation_cells([f], shape, gm.width_px, gm.height_px)
-        assert token == position == target == tuple(peak) == metric
-        assert token == cell_of(x, y, grid.rows, grid.cols, gm.width_px, gm.height_px)
+        sp = Scanpath("w", "r", [f])
+        xs, ys = np.array([x]), np.array([y])
+
+        def peak(values):
+            return tuple(int(i) for i in np.unravel_index(np.argmax(values), shape))
+
+        sites = {
+            "cell_of": lambda: cell_of(x, y, *shape, w, h),
+            "cells_of": lambda: tuple(int(a[0]) for a in cells_of(xs, ys, *shape, w, h)),
+            "token_at": lambda: tuple(int(v) for v in token_at(grid, x, y)),
+            "tokens_at": lambda: tuple(int(v) for v in tokens_at(grid, xs, ys)[0]),
+            "_pos_index": lambda: divmod(pat_s._pos_index(grid, x, y), grid.cols),
+            "fixation_cell": lambda: pat_s.fixation_cell(grid, f),
+            "gaussian_map": lambda: peak(gaussian_map([f], shape, w, h)),
+            "scanpath_to_heatmap":
+                lambda: peak(mx.scanpath_to_heatmap(sp, shape, w, h).values),
+            "_fixation_cells": lambda: mx._fixation_cells([f], shape, w, h).pop(),
+        }
+        got = {name: outcome(site) for name, site in sites.items()}
+        grades = outcome(mx.grade_string, sp, gm)
+        if kind == "off the slide":
+            assert got == dict.fromkeys(sites, RangeError)
+            assert grades is RangeError
+        else:
+            assert all(type(cell) is tuple for cell in got.values())
+            assert len(set(got.values())) == 1
+            label = gm.grid[cell_of(x, y, *gm.grid.shape, w, h)]
+            assert grades == GRADE_CHARS[label].strip(".")
+
+
+class TestExactBoundaries:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 1024))
+    @example(39, 256)
+    def test_patch_boundary_starts_its_patch(self, n, p):
+        # on a grid with an integer patch size p, k * p starts patch k
+        size = float(n * p)
+        starts = np.arange(n) * float(p)
+        for k, at in enumerate(starts):
+            assert cell_of(at, at, n, n, size, size) == (k, k)
+            assert cell_of(at, 0.0, 1, n, size, 2.0) == (0, k)
+        rows, cols = cells_of(starts, starts, n, n, size, size)
+        assert rows.tolist() == cols.tolist() == list(range(n))

@@ -202,17 +202,19 @@ class TestNeedlemanWunschRows:
 
 
 @st.composite
-def grade_map_and_points(draw):
+def grade_map_and_points(draw, cells=st.sampled_from([1.0, 10.0, 385.8])
+                         | st.floats(0.5, 500.0), outside=True):
     """A grade map with rows != cols allowed and fixations anywhere on it,
-    on cell boundaries, on the far edges, and (sometimes) one off it."""
+    on cell boundaries, on the far edges, and (sometimes, if ``outside``)
+    one off it."""
     h = draw(st.integers(8, 20))
     w = draw(st.integers(8, 20))
-    cell = draw(st.sampled_from([1.0, 10.0, 385.8]) | st.floats(0.5, 500.0))
+    cell = draw(cells)
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gm = GradeMap(rng.integers(0, 5, (h, w)).astype(np.int8), cell)
     points = draw(st.lists(frame_point(gm.width_px, gm.height_px, cell, cell),
                            min_size=1, max_size=30))
-    if draw(st.integers(0, 4)) == 0:
+    if outside and draw(st.integers(0, 4)) == 0:
         points.insert(draw(st.integers(0, len(points))),
                       draw(outside_point(gm.width_px, gm.height_px)))
     return gm, [Fixation(x, y, MagLevel(draw(st.integers(0, 5))), 0.0)
@@ -251,16 +253,28 @@ def outcome(fn, *args):
 class TestVectorizedCells:
     @settings(max_examples=200, deadline=None)
     @given(grade_map_and_points())
-    def test_grade_string_equals_label_at(self, case):
+    def test_grade_string_equals_cell_of(self, case):
         gm, fixations = case
+        rows, cols = gm.grid.shape
 
         def per_point():
-            labels = [gm.label_at(f.x, f.y) for f in fixations]
+            labels = [gm.grid[cell_of(f.x, f.y, rows, cols, gm.width_px, gm.height_px)]
+                      for f in fixations]
             return "".join(GRADE_CHARS[v] for v in labels if v != BACKGROUND)
 
         want = outcome(per_point)
         got = outcome(mx.grade_string, Scanpath("w", "r", fixations), gm)
         assert got == want
+
+    @settings(max_examples=200, deadline=None)
+    @given(grade_map_and_points(st.integers(1, 512).map(float), outside=False))
+    def test_grade_string_equals_floor_division_for_integer_cells(self, case):
+        # with an exact cell size the patch formula is the plain x // cell_size
+        gm, fixations = case
+        cs = gm.cell_size
+        labels = [gm.grid[int(f.y // cs), int(f.x // cs)] for f in fixations]
+        want = "".join(GRADE_CHARS[v] for v in labels if v != BACKGROUND)
+        assert mx.grade_string(Scanpath("w", "r", fixations), gm) == want
 
     @settings(max_examples=200, deadline=None)
     @given(grade_map_and_points(), st.integers(1, 40), st.integers(1, 40))
@@ -270,7 +284,7 @@ class TestVectorizedCells:
         if all(0 <= f.x < w and 0 <= f.y < h for f in fixations):
             want = {cell_of(f.x, f.y, rows, cols, w, h) for f in fixations}
         else:
-            want = InvalidInputError
+            want = RangeError
         assert outcome(mx._fixation_cells, fixations, (rows, cols), w, h) == want
 
 

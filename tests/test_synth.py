@@ -22,20 +22,6 @@ class TestGradeMap:
         assert np.array_equal(back.grid, gm.grid)
         assert back.cell_size == gm.cell_size
 
-    def test_label_at(self):
-        grid = np.zeros((8, 8), dtype=np.int8)
-        grid[2, 3] = 4
-        gm = GradeMap(grid, 10.0)
-        assert gm.label_at(35.0, 25.0) == 4
-        assert gm.label_at(0.0, 0.0) == 0
-
-    def test_label_at_out_of_range(self):
-        gm = GradeMap(np.zeros((8, 8), dtype=np.int8), 10.0)
-        with pytest.raises(InvalidInputError):
-            gm.label_at(80.0, 0.0)
-        with pytest.raises(InvalidInputError):
-            gm.label_at(-1.0, 0.0)
-
     def test_too_small_rejected(self):
         with pytest.raises(InvalidConfigError):
             GradeMap(np.zeros((4, 4), dtype=np.int8), 10.0)
@@ -147,7 +133,7 @@ class TestSimulateReader:
         n_tumor = int(np.sum(gm.grid > BENIGN))
         n_benign = int(np.sum(gm.grid == BENIGN))
         for s in t.samples[1:]:
-            label = gm.label_at(s.x, s.y)
+            label = gm.grid[int(s.y // gm.cell_size), int(s.x // gm.cell_size)]
             if label > BENIGN:
                 tumor += 1
             elif label == BENIGN:
