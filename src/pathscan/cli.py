@@ -11,7 +11,6 @@ from __future__ import annotations
 
 import argparse
 import csv
-import io as _io
 import json
 import sys
 from pathlib import Path
@@ -37,11 +36,10 @@ from .io import (
     write_trajectories,
 )
 from .render import render_svg
-from .synth import GradeMap, ReaderProfile, gen_wsi, simulate_reader
+from .synth import ReaderProfile, gen_wsi, simulate_reader
 from .trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 
 EXIT_OK = 0
-EXIT_USAGE = 2
 EXIT_DATA = 3
 EXIT_NUMERIC = 4
 
@@ -171,7 +169,7 @@ def cmd_train_heatmap(args) -> int:
             gt = pat_h.gaussian_map(
                 fixations, (grid.rows, grid.cols), grid.width_px, grid.height_px
             )
-            items.append((grid, pat_h.Heatmap(mag, gt)))
+            items.append((grid, gt))
         corpus[mag_idx] = items
 
     models, curves = pat_h.train_heatmap(corpus, config)
@@ -256,8 +254,7 @@ def cmd_eval_next(args) -> int:
             history = sp.fixations[:k]
             target = sp.fixations[k]
             heat, mags = pat_s.forward_step(params, config, f2x, f10x, history)
-            hm = pat_h.Heatmap(MagLevel(3), heat.data)
-            x, y = inference.next_location(hm, f10x.width_px, f10x.height_px)
+            x, y = inference.next_location(heat.data, f10x.width_px, f10x.height_px)
             pred_mag = inference.next_mag_probmag(
                 mags.data, history[-1].mag, deterministic=True
             )

@@ -81,10 +81,19 @@ def cells_of(
     inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
     if not inside.all():
         k = int(np.argmin(inside))
-        raise RangeError(f"({float(xs[k])}, {float(ys[k])}) outside WSI bounds")
+        raise RangeError(f"({float(xs.flat[k])}, {float(ys.flat[k])}) outside WSI bounds")
     r = np.minimum((ys * rows / height).astype(np.intp), rows - 1)
     c = np.minimum((xs * cols / width).astype(np.intp), cols - 1)
     return r, c
+
+
+def cell_centres(
+    rows: int, cols: int, width: float, height: float
+) -> tuple[np.ndarray, np.ndarray]:
+    """Level-0 centres of the cells of a rows x cols grid that spans
+    width x height: (ys, xs), the centre of cell (r, c) being (xs[c], ys[r]).
+    ``cells_of`` places every centre in its own cell."""
+    return (np.arange(rows) + 0.5) * height / rows, (np.arange(cols) + 0.5) * width / cols
 
 
 def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
@@ -146,13 +155,10 @@ class SyntheticFeatureProvider(FeatureProvider):
 
     @staticmethod
     def _histograms(gm: GradeMap, side: int) -> np.ndarray:
-        # each patch takes the label of the cell under its center; works
-        # whether the patch grid is finer or coarser than the cell grid
-        h, w = gm.grid.shape
-        rr = np.minimum(((np.arange(side) + 0.5) * h / side).astype(int), h - 1)
-        cc = np.minimum(((np.arange(side) + 0.5) * w / side).astype(int), w - 1)
-        labels = gm.grid[rr[:, None], cc[None, :]].astype(int)
-        hist = np.zeros((side, side, 5), dtype=np.float64)
-        i, j = np.indices(labels.shape)
-        hist[i, j, labels] = 1.0
-        return hist
+        # each patch takes the label of the cell under its centre, as
+        # ``grade_string`` reads it; works whether the patch grid is finer
+        # or coarser than the cell grid
+        ys, xs = np.meshgrid(*cell_centres(side, side, gm.width_px, gm.height_px),
+                             indexing="ij")
+        labels = gm.grid[cells_of(xs, ys, *gm.grid.shape, gm.width_px, gm.height_px)]
+        return np.eye(5)[labels]

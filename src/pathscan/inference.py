@@ -9,8 +9,7 @@ import numpy as np
 
 from . import autodiff as ad
 from .errors import DegenerateInputError, InvalidInputError
-from .features import FeatureGrid
-from .pat_h import Heatmap
+from .features import FeatureGrid, cell_centres
 from .pat_s import ScanpathModelConfig, forward_step
 from .trajectory import Fixation, MagLevel, Scanpath
 
@@ -25,24 +24,23 @@ class IorState:
     """
 
     radius_px: float
-    visited: list[tuple[float, float, int]] = field(default_factory=list)
+    visited: list[tuple[float, float]] = field(default_factory=list)
     _masks: dict = field(default_factory=dict, init=False, repr=False, compare=False)
 
     def __post_init__(self):
         if self.radius_px <= 0:
             raise InvalidInputError("IOR radius must be positive")
 
-    def visit(self, x: float, y: float, mag: MagLevel):
-        self.visited.append((x, y, mag.index))
+    def visit(self, x: float, y: float):
+        self.visited.append((x, y))
 
     def mask(self, rows: int, cols: int, wsi_w: float, wsi_h: float) -> np.ndarray:
         """Cells of a (rows, cols) grid over the WSI whose centre lies
         within radius_px of a visited point."""
         key = (self.radius_px, rows, cols, wsi_w, wsi_h)
         mask, drawn = self._masks.get(key) or (np.zeros((rows, cols), dtype=bool), 0)
-        cx = (np.arange(cols) + 0.5) * (wsi_w / cols)
-        cy = (np.arange(rows) + 0.5) * (wsi_h / rows)
-        for x, y, _ in self.visited[drawn:]:
+        cy, cx = cell_centres(rows, cols, wsi_w, wsi_h)
+        for x, y in self.visited[drawn:]:
             mask |= (cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2 <= self.radius_px ** 2
         self._masks[key] = (mask, len(self.visited))
         return mask
@@ -61,21 +59,22 @@ class TransitionMatrix:
         self.probs = p
 
 
-def apply_ior(h: Heatmap, state: IorState, wsi_w: float, wsi_h: float) -> Heatmap:
-    """Zero every cell within radius_px of a visited point."""
-    vals = np.asarray(h.values, dtype=np.float64).copy()
+def apply_ior(h: np.ndarray, state: IorState, wsi_w: float, wsi_h: float) -> np.ndarray:
+    """Copy of the (rows, cols) heatmap with every cell within radius_px of
+    a visited point zeroed."""
+    vals = np.array(h, dtype=np.float64)
     vals[state.mask(*vals.shape, wsi_w, wsi_h)] = 0.0
-    return Heatmap(h.mag, vals)
+    return vals
 
 
-def next_location(h: Heatmap, wsi_w: float, wsi_h: float) -> tuple[float, float]:
-    """Center of the maximal cell; row-major first occurrence breaks ties."""
-    vals = np.asarray(h.values, dtype=np.float64)
+def next_location(h: np.ndarray, wsi_w: float, wsi_h: float) -> tuple[float, float]:
+    """Centre of the maximal cell; row-major first occurrence breaks ties."""
+    vals = np.asarray(h, dtype=np.float64)
     if vals.max() <= 0:
         raise DegenerateInputError("heatmap has no positive cell")
-    flat = int(np.argmax(vals))
-    r, c = divmod(flat, vals.shape[1])
-    return ((c + 0.5) * wsi_w / vals.shape[1], (r + 0.5) * wsi_h / vals.shape[0])
+    r, c = divmod(int(np.argmax(vals)), vals.shape[1])
+    ys, xs = cell_centres(*vals.shape, wsi_w, wsi_h)
+    return float(xs[c]), float(ys[r])
 
 
 def _band(m_t: MagLevel) -> list[int]:
@@ -159,18 +158,17 @@ def rollout(
     rng = np.random.default_rng(seed)
     fixations = [Fixation(wsi_w / 2.0, wsi_h / 2.0, MagLevel(0), 0.0)]
     ior = IorState(radius_px=1.0)
-    ior.visit(fixations[0].x, fixations[0].y, fixations[0].mag)
+    ior.visit(fixations[0].x, fixations[0].y)
 
     while len(fixations) < n:
         cur = fixations[-1]
         heat_t, mag_t = forward_step(params, config, f2x, f10x, fixations)
-        heat = Heatmap(MagLevel(3), heat_t.data)
         ior.radius_px = (
             ior_radius_px
             if ior_radius_px is not None
             else wsi_w / cur.mag.factor / 2.0
         )
-        heat = apply_ior(heat, ior, wsi_w, wsi_h)
+        heat = apply_ior(heat_t.data, ior, wsi_w, wsi_h)
         try:
             x, y = next_location(heat, wsi_w, wsi_h)
         except DegenerateInputError:
@@ -183,5 +181,5 @@ def rollout(
         else:
             m = next_mag_priormag(transition_matrix, cur.mag, rng)
         fixations.append(Fixation(x, y, m, 0.0))
-        ior.visit(x, y, m)
+        ior.visit(x, y)
     return RolloutResult(Scanpath("", "", fixations))

@@ -17,8 +17,6 @@ from .trajectory import Fixation, MagLevel, RawTrajectory, Scanpath, ViewportSam
 
 VERSION = "0.1.0"
 
-EXPERTISE_LEVELS = ("resident", "general", "specialist")
-
 
 def _meta_record(config: dict | None) -> dict:
     return {"_meta": {"version": VERSION, "config": config or {}}}

@@ -9,7 +9,7 @@ from scipy.stats import rankdata
 
 from .errors import ContractError, DegenerateInputError, InvalidInputError
 from .features import FeatureProvider, cells_of, token_at, tokens_at
-from .pat_h import Heatmap, gaussian_map
+from .pat_h import gaussian_map
 from .synth import BACKGROUND, GRADE_CHARS, GradeMap
 from .trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
 
@@ -30,11 +30,11 @@ def _fixation_cells(
     return set(zip(rows.tolist(), cols.tolist()))
 
 
-def nss(h: Heatmap, fixations: list[Fixation], wsi_w: float, wsi_h: float) -> float:
+def nss(h: np.ndarray, fixations: list[Fixation], wsi_w: float, wsi_h: float) -> float:
     """Mean z-scored map value at fixation cells (population std)."""
     if not fixations:
         raise InvalidInputError("nss requires at least one fixation")
-    vals = np.asarray(h.values, dtype=np.float64)
+    vals = np.asarray(h, dtype=np.float64)
     std = vals.std()
     if std == 0:
         raise DegenerateInputError("nss is undefined for a constant map")
@@ -44,7 +44,7 @@ def nss(h: Heatmap, fixations: list[Fixation], wsi_w: float, wsi_h: float) -> fl
 
 
 def auc_judd(
-    h: Heatmap, fixations: list[Fixation], wsi_w: float, wsi_h: float
+    h: np.ndarray, fixations: list[Fixation], wsi_w: float, wsi_h: float
 ) -> float:
     """ROC area, fixated cells positive vs all other cells, ties half-credit.
 
@@ -53,7 +53,7 @@ def auc_judd(
     """
     if not fixations:
         raise InvalidInputError("auc requires at least one fixation")
-    vals = np.asarray(h.values, dtype=np.float64)
+    vals = np.asarray(h, dtype=np.float64)
     mask = np.zeros(vals.shape, dtype=bool)
     mask[tuple(zip(*_fixation_cells(fixations, vals.shape, wsi_w, wsi_h)))] = True
     n_pos = int(mask.sum())
@@ -210,6 +210,6 @@ def mag_change_accuracy(
 
 def scanpath_to_heatmap(
     sp: Scanpath, shape: tuple[int, int], wsi_w: float, wsi_h: float
-) -> Heatmap:
-    """``gaussian_map`` of all of a scanpath's fixations, as a Heatmap."""
-    return Heatmap(MagLevel(0), gaussian_map(sp.fixations, shape, wsi_w, wsi_h))
+) -> np.ndarray:
+    """``gaussian_map`` of all of a scanpath's fixations."""
+    return gaussian_map(sp.fixations, shape, wsi_w, wsi_h)

@@ -10,7 +10,6 @@ factor).
 
 from __future__ import annotations
 
-import json
 import warnings
 from collections.abc import Iterable
 from dataclasses import dataclass
@@ -43,20 +42,6 @@ class HeatmapModelConfig:
             raise InvalidConfigError("dim must be divisible by heads")
         if self.layers < 0:
             raise InvalidConfigError("layers must be >= 0")
-
-
-@dataclass
-class Heatmap:
-    mag: MagLevel
-    values: np.ndarray  # (rows, cols) in [0, 1]
-
-    @property
-    def rows(self) -> int:
-        return self.values.shape[0]
-
-    @property
-    def cols(self) -> int:
-        return self.values.shape[1]
 
 
 def gaussian_map(
@@ -122,20 +107,20 @@ def decode_scores(z_l: ad.Tensor, params: dict[str, ad.Tensor]) -> ad.Tensor:
 
 
 def decode_heatmap(
-    z_l: ad.Tensor, params: dict[str, ad.Tensor], mag: MagLevel, rows: int, cols: int
-) -> Heatmap:
-    """Min-max normalized heatmap; a constant score map normalizes to zeros."""
+    z_l: ad.Tensor, params: dict[str, ad.Tensor], rows: int, cols: int
+) -> np.ndarray:
+    """Min-max normalized (rows, cols) map; constant scores normalize to zeros."""
     scores = decode_scores(z_l, params).data.reshape(rows, cols)
     lo, hi = scores.min(), scores.max()
     if hi - lo <= 0:
-        return Heatmap(mag, np.zeros((rows, cols)))
-    return Heatmap(mag, (scores - lo) / (hi - lo))
+        return np.zeros((rows, cols))
+    return (scores - lo) / (hi - lo)
 
 
-def cc(a: Heatmap | np.ndarray, b: Heatmap | np.ndarray) -> float:
+def cc(a: np.ndarray, b: np.ndarray) -> float:
     """Pearson correlation between two same-shape maps."""
-    x = np.asarray(a.values if isinstance(a, Heatmap) else a, dtype=np.float64)
-    y = np.asarray(b.values if isinstance(b, Heatmap) else b, dtype=np.float64)
+    x = np.asarray(a, dtype=np.float64)
+    y = np.asarray(b, dtype=np.float64)
     if x.shape != y.shape:
         raise ShapeError(f"heatmap shapes differ: {x.shape} vs {y.shape}")
     xc = x - x.mean()
@@ -148,7 +133,7 @@ def cc(a: Heatmap | np.ndarray, b: Heatmap | np.ndarray) -> float:
 
 def loss_cc(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
     """1 - CC(pred, gt), differentiable through pred."""
-    gt = np.asarray(gt.values if isinstance(gt, Heatmap) else gt, dtype=np.float64)
+    gt = np.asarray(gt, dtype=np.float64)
     if pred.data.size != gt.size:
         raise ShapeError("pred/gt size mismatch")
     gc = (gt - gt.mean()).reshape(-1)
@@ -165,7 +150,7 @@ def loss_cc(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
 
 
 def train_heatmap(
-    corpus: dict[int, list[tuple[FeatureGrid, Heatmap]]],
+    corpus: dict[int, list[tuple[FeatureGrid, np.ndarray]]],
     config: HeatmapModelConfig,
 ) -> tuple[dict[int, dict[str, ad.Tensor]], dict[int, list[float]]]:
     """Train one model per magnification level; returns params and loss curves."""
@@ -175,7 +160,7 @@ def train_heatmap(
     curves: dict[int, list[float]] = {}
     for mag_idx in config.mags_trained:
         items = corpus.get(mag_idx, [])
-        items = [(g, h) for g, h in items if np.ptp(np.asarray(h.values)) > 0]
+        items = [(g, h) for g, h in items if np.ptp(h) > 0]
         if not items:
             continue
         rng = np.random.default_rng((config.seed, mag_idx))
@@ -188,7 +173,7 @@ def train_heatmap(
             for grid, gt in items:
                 ad.zero_grads(params)
                 z = encode(grid, params, config)
-                loss = loss_cc(decode_scores(z, params), gt.values)
+                loss = loss_cc(decode_scores(z, params), gt)
                 ad.backward(loss)
                 ad.adam_step(params, state, lr=config.lr)
                 total += loss.item()
@@ -216,17 +201,3 @@ def load_heatmap_models(
         out.setdefault(int(prefix[1:]), {})[rest] = arr
     return out, config
 
-
-def heatmap_to_pgm(h: Heatmap, comment: str = "") -> bytes:
-    """16-bit binary PGM export."""
-    vals = np.clip(np.asarray(h.values, dtype=np.float64), 0.0, 1.0)
-    pix = (vals * 65535).round().astype(">u2")
-    header = f"P5\n# {comment}\n{h.cols} {h.rows}\n65535\n".encode()
-    return header + pix.tobytes()
-
-
-def heatmap_to_json(h: Heatmap) -> str:
-    return json.dumps(
-        {"mag": h.mag.factor, "rows": h.rows, "cols": h.cols,
-         "values": np.asarray(h.values).tolist()}
-    )

@@ -4,7 +4,7 @@ from __future__ import annotations
 
 from xml.sax.saxutils import escape
 
-from .synth import GRADE_NAMES, GradeMap
+from .synth import GradeMap
 from .trajectory import Scanpath
 
 GRADE_COLORS = {

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from .errors import InvalidConfigError, InvalidInputError
-from .trajectory import MAG_FACTORS, MagLevel, RawTrajectory, ViewportSample
+from .trajectory import MagLevel, RawTrajectory, ViewportSample
 
 # grade codes in the grid array
 BACKGROUND, BENIGN, G3, G4, G5 = range(5)

@@ -10,7 +10,7 @@ and the points where the path turned sharply.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 
 from .errors import InvalidConfigError, InvalidInputError
 

@@ -26,7 +26,7 @@ from pathscan.baselines import (
     random2_scanpath,
 )
 from pathscan.features import FeatureGrid, SyntheticFeatureProvider, cell_of
-from pathscan.pat_h import Heatmap, HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
+from pathscan.pat_h import HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
 from pathscan.synth import DEFAULT_TRANSITION_PRIOR, ReaderProfile, gen_wsi, simulate_reader
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 from test_autodiff import fd_check
@@ -250,7 +250,7 @@ def test_criterion_4_metric_oracles(capsys):
         vals = np.round(rng.random((6, 6)), 1)
         fixations = [Fixation(rng.uniform(0, 60), rng.uniform(0, 60),
                               MagLevel(3), 100.0) for _ in range(4)]
-        got = mx.auc_judd(Heatmap(MagLevel(3), vals), fixations, 60.0, 60.0)
+        got = mx.auc_judd(vals, fixations, 60.0, 60.0)
         mask = np.zeros((6, 6), dtype=bool)
         for rc in mx._fixation_cells(fixations, (6, 6), 60.0, 60.0):
             mask[rc] = True
@@ -267,8 +267,7 @@ def test_criterion_4_metric_oracles(capsys):
             assert mx.needleman_wunsch(a, b) == pytest.approx(nw_oracle(a, b))
 
     # NSS of uniformly random fixations is centered on zero
-    vals = np.random.default_rng(3).random((8, 8))
-    h = Heatmap(MagLevel(3), vals)
+    h = np.random.default_rng(3).random((8, 8))
     rng = np.random.default_rng(4)
     total = 0.0
     n = 10_000
@@ -412,8 +411,7 @@ def test_criterion_7_overfit_sanity(capsys):
     hits = total = 0
     for k in range(1, len(sp.fixations)):
         heat_t, _ = ps.forward_step(params, cfg, f2x, f10x, sp.fixations[:k])
-        heat = Heatmap(MagLevel(3), np.asarray(heat_t.data, dtype=np.float64))
-        x, y = inf.next_location(heat, gm.width_px, gm.height_px)
+        x, y = inf.next_location(heat_t.data, gm.width_px, gm.height_px)
         pr, pc = cell_of(x, y, f10x.rows, f10x.cols, f10x.width_px, f10x.height_px)
         tr, tc = ps.fixation_cell(f10x, sp.fixations[k])
         hits += (abs(pr - tr) <= 1 and abs(pc - tc) <= 1)
@@ -432,7 +430,7 @@ def test_criterion_7_overfit_sanity(capsys):
         fixations = [f for sp in sps2 for f in sp.fixations if f.mag == mag]
         hm = gaussian_map(fixations, (grid.rows, grid.cols),
                           gm2.width_px, gm2.height_px)
-        corpus[mag_idx] = [(grid, Heatmap(mag, hm))]
+        corpus[mag_idx] = [(grid, hm)]
     h_cfg = HeatmapModelConfig(dim=16, heads=2, epochs=50, lr=3e-3, seed=0,
                                mags_trained=(1, 3))
     _, curves = train_heatmap(corpus, h_cfg)

@@ -213,7 +213,7 @@ def every_op(t: ad.Tensor, c, k: float) -> list[ad.Tensor]:
     pos = ad.add(ad.mul(t, t), c)  # > 0
     return [
         ad.add(t, c), ad.add(c, t), ad.sub(t, c), ad.sub(c, t),
-        ad.mul(t, c), ad.mul(c, t), t + c, t - c, t * c, -t,
+        ad.mul(t, c), ad.mul(c, t),
         ad.matmul(t, np.full((cols, 2), k)), ad.matmul(np.full((2, rows), k), t),
         ad.matmul(t, ad.transpose(t)),
         ad.transpose(t), ad.reshape(t, (-1,)), t[0], ad.concat([t, t], axis=0),

@@ -11,6 +11,7 @@ from pathscan.errors import InvalidConfigError, RangeError
 from pathscan.features import (
     FeatureGrid,
     SyntheticFeatureProvider,
+    cell_centres,
     cell_of,
     cells_of,
     embed,
@@ -104,6 +105,45 @@ class TestSyntheticProvider:
             token_at(g, 0.0, gm.height_px)  # below the slide
 
 
+# patch sizes that binary floating point cannot hold exactly, and some it can
+PATCH_SIZES = st.sampled_from([0.1, 1 / 3, 2 / 3, 385.8, 1.0, 256.0]) | st.floats(0.01, 1000.0)
+
+
+class TestCellCentres:
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 64), st.integers(1, 64), PATCH_SIZES, PATCH_SIZES)
+    def test_every_centre_lies_in_its_own_cell(self, rows, cols, patch_h, patch_w):
+        width, height = cols * patch_w, rows * patch_h
+        ys, xs = np.meshgrid(*cell_centres(rows, cols, width, height), indexing="ij")
+        r, c = cells_of(xs, ys, rows, cols, width, height)
+        want_r, want_c = np.indices((rows, cols))
+        assert np.array_equal(r, want_r) and np.array_equal(c, want_c)
+
+    def test_hand_example(self):
+        ys, xs = cell_centres(2, 4, 40.0, 10.0)
+        assert ys.tolist() == [2.5, 7.5] and xs.tolist() == [5.0, 15.0, 25.0, 35.0]
+
+
+class TestPatchLabels:
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(8, 64), st.integers(8, 64), st.integers(1, 40),
+           st.sampled_from([1.0, 100.0, 256.0, 385.8]) | st.floats(1.0, 1000.0),
+           st.integers(0, 2**32 - 1))
+    @example(18, 8, 3, 385.8, 0)
+    @example(8, 14, 21, 385.8, 0)
+    def test_patch_label_is_the_grade_under_its_centre(self, h_g, w_g, side, cell, seed):
+        # a patch's token encodes the grade that grade_string reads at the
+        # patch centre, even when cell_size * cells is not exact
+        gm = GradeMap(np.random.default_rng(seed).integers(0, 5, (h_g, w_g)).astype(np.int8),
+                      cell)
+        w, h = gm.width_px, gm.height_px
+        labels = SyntheticFeatureProvider._histograms(gm, side).argmax(axis=-1)
+        for r in range(side):
+            for c in range(side):
+                centre = ((c + 0.5) * w / side, (r + 0.5) * h / side)
+                assert labels[r, c] == gm.grid[cell_of(*centre, h_g, w_g, w, h)], (r, c)
+
+
 @st.composite
 def grid_and_point(draw):
     """A provider grid over a random grade map with rows != cols, its 1X
@@ -159,7 +199,7 @@ class TestOnePatchConvention:
             "fixation_cell": lambda: pat_s.fixation_cell(grid, f),
             "gaussian_map": lambda: peak(gaussian_map([f], shape, w, h)),
             "scanpath_to_heatmap":
-                lambda: peak(mx.scanpath_to_heatmap(sp, shape, w, h).values),
+                lambda: peak(mx.scanpath_to_heatmap(sp, shape, w, h)),
             "_fixation_cells": lambda: mx._fixation_cells([f], shape, w, h).pop(),
         }
         got = {name: outcome(site) for name, site in sites.items()}

@@ -6,22 +6,17 @@ from pathscan.io import write_scanpaths
 import pathscan.pat_s as pat_s
 from pathscan.errors import DegenerateInputError, InvalidInputError
 from pathscan.features import FeatureGrid
-from pathscan.pat_h import Heatmap
 from pathscan.pat_s import ScanpathModelConfig
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
 
-def heat(values):
-    return Heatmap(MagLevel(3), np.asarray(values, dtype=np.float64))
-
-
 class TestNextLocation:
     def test_single_hot_cell(self):
-        h = heat([[0, 0], [0, 1]])
+        h = np.array([[0.0, 0.0], [0.0, 1.0]])
         assert inf.next_location(h, 100.0, 100.0) == (75.0, 75.0)
 
     def test_tie_breaks_row_major(self):
-        h = heat([[0, 1], [1, 0]])
+        h = np.array([[0.0, 1.0], [1.0, 0.0]])
         x, y = inf.next_location(h, 100.0, 100.0)
         assert (x, y) == (75.0, 25.0)
 
@@ -29,7 +24,7 @@ class TestNextLocation:
         rng = np.random.default_rng(0)
         for _ in range(20):
             vals = rng.random((5, 5))
-            x, y = inf.next_location(heat(vals), 50.0, 50.0)
+            x, y = inf.next_location(vals, 50.0, 50.0)
             best = None
             for r in range(5):
                 for c in range(5):
@@ -39,7 +34,7 @@ class TestNextLocation:
 
     def test_all_zero_rejected(self):
         with pytest.raises(DegenerateInputError):
-            inf.next_location(heat(np.zeros((3, 3))), 10.0, 10.0)
+            inf.next_location(np.zeros((3, 3)), 10.0, 10.0)
 
 
 class TestIor:
@@ -48,35 +43,34 @@ class TestIor:
             inf.IorState(radius_px=0.0)
 
     def test_suppression_moves_argmax(self):
-        vals = np.random.default_rng(1).random((6, 6))
-        h = heat(vals)
+        h = np.random.default_rng(1).random((6, 6))
         wsi = 60.0
         x, y = inf.next_location(h, wsi, wsi)
         state = inf.IorState(radius_px=15.0)
-        state.visit(x, y, MagLevel(3))
+        state.visit(x, y)
         h2 = inf.apply_ior(h, state, wsi, wsi)
         x2, y2 = inf.next_location(h2, wsi, wsi)
         assert np.hypot(x2 - x, y2 - y) > 15.0
 
     def test_zeroes_only_inside_radius(self):
-        h = heat(np.ones((4, 4)))
+        h = np.ones((4, 4))
         state = inf.IorState(radius_px=10.0)
-        state.visit(5.0, 5.0, MagLevel(0))  # cell centres 5, 15, 25, 35
+        state.visit(5.0, 5.0)  # cell centres 5, 15, 25, 35
         out = inf.apply_ior(h, state, 40.0, 40.0)
         want = np.ones((4, 4))
         want[0, :2] = want[1, 0] = 0.0
-        assert np.array_equal(out.values, want)
+        assert np.array_equal(out, want)
 
 
 def rebuild_ior(h, state, wsi_w, wsi_h):
     """The per-step rebuild: every visited point's disk, drawn again."""
-    vals = np.asarray(h.values, dtype=np.float64).copy()
+    vals = np.array(h, dtype=np.float64)
     rows, cols = vals.shape
-    cx = (np.arange(cols) + 0.5) * (wsi_w / cols)
-    cy = (np.arange(rows) + 0.5) * (wsi_h / rows)
-    for x, y, _ in state.visited:
+    cx = (np.arange(cols) + 0.5) * wsi_w / cols
+    cy = (np.arange(rows) + 0.5) * wsi_h / rows
+    for x, y in state.visited:
         vals[(cy[:, None] - y) ** 2 + (cx[None, :] - x) ** 2 <= state.radius_px ** 2] = 0.0
-    return Heatmap(h.mag, vals)
+    return vals
 
 
 class TestIorAccumulation:
@@ -84,20 +78,20 @@ class TestIorAccumulation:
         rng = np.random.default_rng(4)
         state = inf.IorState(radius_px=1.0)
         for step in range(40):
-            state.visit(*rng.uniform(0, 120.0, 2), MagLevel(0))
+            state.visit(*rng.uniform(0, 120.0, 2))
             state.radius_px = float(rng.choice([6.0, 15.0, 30.0]))
-            h = heat(rng.random((12, 12)))
+            h = rng.random((12, 12))
             got = inf.apply_ior(h, state, 120.0, 120.0)
             want = rebuild_ior(h, state, 120.0, 120.0)
-            assert got.values.tobytes() == want.values.tobytes(), step
+            assert got.tobytes() == want.tobytes(), step
 
     def test_masks_are_kept_per_grid(self):
         state = inf.IorState(radius_px=10.0)
-        state.visit(5.0, 5.0, MagLevel(0))
+        state.visit(5.0, 5.0)
         for side in (4, 8, 4):
-            h = heat(np.ones((side, side)))
-            assert np.array_equal(inf.apply_ior(h, state, 40.0, 40.0).values,
-                                  rebuild_ior(h, state, 40.0, 40.0).values)
+            h = np.ones((side, side))
+            assert np.array_equal(inf.apply_ior(h, state, 40.0, 40.0),
+                                  rebuild_ior(h, state, 40.0, 40.0))
 
 
 class TestNextMag:

@@ -15,13 +15,8 @@ from pathscan.errors import (
     RangeError,
 )
 from pathscan.features import FeatureGrid, cell_of, token_at
-from pathscan.pat_h import Heatmap
 from pathscan.synth import BACKGROUND, GRADE_CHARS, GradeMap
 from pathscan.trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
-
-
-def heat(values):
-    return Heatmap(MagLevel(3), np.asarray(values, dtype=np.float64))
 
 
 def fix(x, y, mag=3):
@@ -31,22 +26,21 @@ def fix(x, y, mag=3):
 class TestNss:
     def test_hand_z_score(self):
         vals = np.array([[0.0, 0.0], [0.0, 1.0]])
-        got = mx.nss(heat(vals), [fix(75.0, 75.0)], 100.0, 100.0)
+        got = mx.nss(vals, [fix(75.0, 75.0)], 100.0, 100.0)
         want = (1.0 - 0.25) / vals.std()
         assert got == pytest.approx(want)
 
     def test_requires_fixations(self):
         with pytest.raises(InvalidInputError):
-            mx.nss(heat(np.eye(3)), [], 30.0, 30.0)
+            mx.nss(np.eye(3), [], 30.0, 30.0)
 
     def test_constant_map_rejected(self):
         with pytest.raises(DegenerateInputError):
-            mx.nss(heat(np.ones((3, 3))), [fix(5, 5)], 30.0, 30.0)
+            mx.nss(np.ones((3, 3)), [fix(5, 5)], 30.0, 30.0)
 
     def test_random_fixations_mean_near_zero(self):
         rng = np.random.default_rng(0)
-        vals = rng.random((8, 8))
-        h = heat(vals)
+        h = rng.random((8, 8))
         total = 0.0
         n = 2000
         for _ in range(n):
@@ -76,7 +70,7 @@ class TestAucJudd:
             vals = np.round(rng.random((6, 6)), 1)  # rounding forces ties
             fixations = [fix(rng.uniform(0, 60), rng.uniform(0, 60))
                          for _ in range(4)]
-            got = mx.auc_judd(heat(vals), fixations, 60.0, 60.0)
+            got = mx.auc_judd(vals, fixations, 60.0, 60.0)
             mask = np.zeros((6, 6), dtype=bool)
             for rc in mx._fixation_cells(fixations, (6, 6), 60.0, 60.0):
                 mask[rc] = True
@@ -86,12 +80,12 @@ class TestAucJudd:
     def test_perfect_map(self):
         vals = np.zeros((4, 4))
         vals[2, 2] = 1.0
-        assert mx.auc_judd(heat(vals), [fix(25.0, 25.0)], 40.0, 40.0) == 1.0
+        assert mx.auc_judd(vals, [fix(25.0, 25.0)], 40.0, 40.0) == 1.0
 
     def test_all_cells_fixated_rejected(self):
         fixations = [fix(x + 0.5, y + 0.5) for x in range(2) for y in range(2)]
         with pytest.raises(ContractError):
-            mx.auc_judd(heat(np.eye(2)), fixations, 2.0, 2.0)
+            mx.auc_judd(np.eye(2), fixations, 2.0, 2.0)
 
 
 class TestGradeString:
@@ -498,9 +492,9 @@ class TestScanpathToHeatmap:
         delta[6, 6] += 1.0
         want = gaussian_filter(delta, sigma=(8 / 8.0) / 10.0, mode="constant")
         want = want / want.max()
-        assert np.allclose(got.values, want)
+        assert np.allclose(got, want)
 
     def test_normalized_peak(self):
         sp = Scanpath("w", "r", [fix(25, 25)])
         got = mx.scanpath_to_heatmap(sp, (8, 8), 160.0, 160.0)
-        assert got.values.max() == pytest.approx(1.0)
+        assert got.max() == pytest.approx(1.0)

@@ -6,7 +6,7 @@ import pathscan.pat_h as pat_h
 from pathscan.errors import DegenerateInputError, InvalidInputError, ShapeError
 from pathscan.features import FeatureGrid
 from pathscan.io import write_sidecar
-from pathscan.pat_h import Heatmap, HeatmapModelConfig
+from pathscan.pat_h import HeatmapModelConfig
 from pathscan.trajectory import Fixation, MagLevel
 
 
@@ -93,8 +93,8 @@ class TestDecode:
             "decode.b": ad.Tensor(np.array([3.0])),
         }
         z = ad.Tensor(np.random.default_rng(0).random((4, 2)))
-        h = pat_h.decode_heatmap(z, params, MagLevel(1), 2, 2)
-        assert np.array_equal(h.values, np.zeros((2, 2)))
+        h = pat_h.decode_heatmap(z, params, 2, 2)
+        assert np.array_equal(h, np.zeros((2, 2)))
 
     def test_single_max_normalizes_to_one(self):
         params = {
@@ -102,8 +102,8 @@ class TestDecode:
             "decode.b": ad.Tensor(np.array([0.0])),
         }
         z = ad.Tensor(np.array([[0.0], [2.0], [1.0], [0.5]]))
-        h = pat_h.decode_heatmap(z, params, MagLevel(1), 2, 2)
-        assert h.values.max() == 1.0 and h.values.flat[1] == 1.0
+        h = pat_h.decode_heatmap(z, params, 2, 2)
+        assert h.max() == 1.0 and h.flat[1] == 1.0
 
 
 class TestEncode:
@@ -176,7 +176,7 @@ class TestTraining:
         for i in range(2):
             grid = tiny_grid(4, 4, 8, seed=seed + i)
             gt = rng.random((4, 4))
-            items.append((grid, Heatmap(MagLevel(1), gt)))
+            items.append((grid, gt))
         return {1: items}
 
     def test_loss_decreases(self):
@@ -210,26 +210,10 @@ class TestTraining:
 def test_one_epoch_at_default_config_stays_float32():
     rng = np.random.default_rng(5)
     config = HeatmapModelConfig(epochs=1)
-    corpus = {m: [(tiny_grid(4, 4, config.dim, seed=m), Heatmap(MagLevel(m), rng.random((4, 4))))]
+    corpus = {m: [(tiny_grid(4, 4, config.dim, seed=m), rng.random((4, 4)))]
               for m in config.mags_trained}
     models, _ = pat_h.train_heatmap(corpus, config)
     promoted = {(m, k) for m, ps in models.items() for k, p in ps.items()
                 if p.data.dtype != np.float32}
     assert set(models) == set(config.mags_trained) and promoted == set()
 
-
-class TestExports:
-    def test_pgm_header_and_size(self):
-        h = Heatmap(MagLevel(1), np.linspace(0, 1, 12).reshape(3, 4))
-        raw = pat_h.heatmap_to_pgm(h, comment="test")
-        assert raw.startswith(b"P5\n")
-        assert b"4 3\n65535\n" in raw
-        assert raw.endswith(np.ndarray.tobytes(
-            (np.linspace(0, 1, 12).reshape(3, 4) * 65535).round().astype(">u2")))
-
-    def test_json_roundtrip(self):
-        import json
-
-        h = Heatmap(MagLevel(3), np.eye(2))
-        rec = json.loads(pat_h.heatmap_to_json(h))
-        assert rec["mag"] == 10 and rec["values"] == [[1.0, 0.0], [0.0, 1.0]]
