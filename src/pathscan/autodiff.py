@@ -1,8 +1,9 @@
 """Minimal dense-tensor reverse-mode differentiation engine.
 
 Just enough ops to build and train both transformer sub-networks.
-Arrays are numpy, float64 for gradient-check builds and float32 for
-training.  Broadcasting is limited to what the networks need (leading
+Arrays are numpy.  ``nn.init_param`` makes every parameter float32, and
+training stays float32; a float64 build (for gradient checks) is a model
+whose parameters were upcast after init.  Broadcasting is limited to what the networks need (leading
 batch dimensions); every op checks the result for NaN/Inf.
 
 Dtype rule: an op's output and every gradient keep the dtype of the

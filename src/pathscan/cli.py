@@ -21,7 +21,7 @@ from . import autodiff as ad
 from . import baselines, inference, metrics, pat_h, pat_s
 from .errors import (DegenerateInputError, InvalidInputError, NumericError,
                      PathscanError)
-from .features import SyntheticFeatureProvider
+from .features import BASE_GRID, FEATURE_DIM, SyntheticFeatureProvider
 from .io import (
     VERSION,
     load_grade_map,
@@ -36,7 +36,7 @@ from .io import (
     write_trajectories,
 )
 from .render import render_svg
-from .synth import ReaderProfile, gen_wsi, simulate_reader
+from .synth import gen_wsi, simulate_reader
 from .trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 
 EXIT_OK = 0
@@ -78,8 +78,8 @@ def load_corpus(corpus_dir: str):
         scanpaths = read_scanpaths(sp_file)
     provider = SyntheticFeatureProvider(
         maps,
-        dim=int(cfg.get("feature_dim", 32)),
-        base_grid=int(cfg.get("base_grid", 8)),
+        dim=int(cfg.get("feature_dim", FEATURE_DIM)),
+        base_grid=int(cfg.get("base_grid", BASE_GRID)),
         seed=int(cfg.get("seed", 0)),
     )
     return maps, scanpaths, provider, cfg
@@ -118,14 +118,13 @@ def cmd_gen(args) -> int:
     seed = args.seed if args.seed is not None else resolve_seed(cfg)
     cfg.update(
         seed=seed, wsis=args.wsis, readers=args.readers, samples=args.samples,
-        grid=args.grid, feature_dim=int(cfg.get("feature_dim", 32)),
-        base_grid=int(cfg.get("base_grid", 8)),
+        grid=args.grid, feature_dim=int(cfg.get("feature_dim", FEATURE_DIM)),
+        base_grid=int(cfg.get("base_grid", BASE_GRID)),
     )
 
     files = []
     trajectories = []
     scanpaths = []
-    profile = ReaderProfile()
     for w in range(args.wsis):
         wsi_id = f"wsi_{w:03d}"
         gm = gen_wsi(seed + 1000 * w, args.grid, args.grid)
@@ -134,7 +133,7 @@ def cmd_gen(args) -> int:
         files += [str(base.with_suffix(".grid")), str(base.with_suffix(".json"))]
         for r in range(args.readers):
             traj = simulate_reader(
-                gm, profile, seed + 1000 * w + r + 1, args.samples,
+                gm, seed + 1000 * w + r + 1, args.samples,
                 wsi_id=wsi_id, reader_id=f"reader_{r:02d}",
             )
             trajectories.append(traj)
@@ -157,7 +156,7 @@ def cmd_train_heatmap(args) -> int:
     config = pat_h.HeatmapModelConfig(dim=provider.dim, seed=resolve_seed(cfg), **kwargs)
 
     corpus: dict[int, list] = {}
-    for mag_idx in config.mags_trained:
+    for mag_idx in pat_h.LEVELS:
         mag = MagLevel(mag_idx)
         items = []
         for wsi_id in maps:
@@ -186,8 +185,7 @@ def cmd_train_scanpath(args) -> int:
     cfg = _load_config(args.config)
     maps, scanpaths, provider, corpus_cfg = load_corpus(args.corpus)
     kwargs = {k: cfg[k] for k in (
-        "model_dim", "enc_layers", "dec_layers", "heads", "lambda_mag",
-        "focal_gamma", "focal_beta", "lr", "epochs",
+        "model_dim", "enc_layers", "dec_layers", "heads", "lr", "epochs",
     ) if k in cfg}
     config = pat_s.ScanpathModelConfig(dim=provider.dim, seed=resolve_seed(cfg), **kwargs)
     stage1 = pat_h.load_heatmap_models(args.stage1) if args.stage1 else None
@@ -210,10 +208,7 @@ def cmd_predict(args) -> int:
     params, config, stage1 = pat_s.load_scanpath_model(args.ckpt)
     f2x, f10x = pat_s.stage2_grids(provider, args.wsi, stage1)
 
-    if args.n == "auto":
-        n = inference.infer_length(scanpaths)
-    else:
-        n = int(args.n)
+    n = inference.infer_length(scanpaths) if args.n == "auto" else args.n
     tm = None
     if args.mode == "priormag":
         tm, _ = baselines.estimate_transition_matrix(scanpaths)
@@ -356,6 +351,9 @@ def cmd_render(args) -> int:
     scanpaths = read_scanpaths(args.scanpath)
     if not scanpaths:
         raise InvalidInputError(f"{args.scanpath}: no scanpaths")
+    if not 0 <= args.index < len(scanpaths):
+        raise InvalidInputError(
+            f"{args.scanpath}: --index {args.index} outside [0, {len(scanpaths)})")
     sp = scanpaths[args.index]
     gm = load_grade_map(args.grades)
     svg = render_svg(sp, gm, comment=f"pathscan {VERSION} wsi={sp.wsi_id}")
@@ -381,6 +379,15 @@ def _write_loss_csv(path, header_rows, rows, cfg):
         for header in header_rows:
             writer.writerow(header)
         writer.writerows(rows)
+
+
+def _length(text: str):
+    """``--n``: ``auto`` or a positive int."""
+    if text == "auto":
+        return text
+    if not text.isdecimal() or int(text) < 1:
+        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive int, got {text!r}")
+    return int(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -423,7 +430,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--corpus", required=True)
     pr.add_argument("--wsi", required=True)
     pr.add_argument("--mode", choices=("probmag", "priormag"), default="probmag")
-    pr.add_argument("--n", default="auto")
+    pr.add_argument("--n", type=_length, default="auto")
     pr.add_argument("--seed", type=int, default=0)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)

@@ -16,6 +16,9 @@ from .errors import InvalidConfigError, RangeError
 from .synth import GradeMap
 from .trajectory import MagLevel
 
+FEATURE_DIM = 32  # token dim of a corpus whose config sets no feature_dim
+BASE_GRID = 8  # 1X grid side of a corpus whose config sets no base_grid
+
 
 @dataclass
 class FeatureGrid:
@@ -126,8 +129,8 @@ class SyntheticFeatureProvider(FeatureProvider):
     def __init__(
         self,
         grade_maps: dict[str, GradeMap],
-        dim: int = 32,
-        base_grid: int = 8,
+        dim: int = FEATURE_DIM,
+        base_grid: int = BASE_GRID,
         seed: int = 0,
         max_side: int = 32,
     ):

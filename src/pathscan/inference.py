@@ -154,6 +154,8 @@ def rollout(
         raise InvalidInputError(f"unknown magnification mode: {mode}")
     if mode == "priormag" and transition_matrix is None:
         raise InvalidInputError("priormag mode requires a transition matrix")
+    if ior_radius_px is not None and ior_radius_px <= 0:
+        raise InvalidInputError("IOR radius must be positive")
     wsi_w, wsi_h = f10x.width_px, f10x.height_px
     rng = np.random.default_rng(seed)
     fixations = [Fixation(wsi_w / 2.0, wsi_h / 2.0, MagLevel(0), 0.0)]

@@ -12,22 +12,28 @@ from . import autodiff as ad
 from .errors import InvalidConfigError
 
 
-def init_linear(params: dict, name: str, din: int, dout: int,
-                rng: np.random.Generator, dtype=np.float32, std: float = 0.02):
-    params[f"{name}.W"] = ad.Tensor(
-        (rng.standard_normal((din, dout)) * std).astype(dtype), requires_grad=True)
-    params[f"{name}.b"] = ad.Tensor(
-        np.zeros((dout,), dtype=dtype), requires_grad=True)
+def init_param(params: dict, name: str, shape: tuple[int, ...],
+               rng: np.random.Generator | None = None):
+    """The one place a trainable tensor is made: float32 N(0, 0.02^2) draws
+    from ``rng``, or zeros without one. A float64 model is one whose
+    parameters were upcast after init."""
+    data = np.zeros(shape) if rng is None else rng.standard_normal(shape) * 0.02
+    params[name] = ad.Tensor(data.astype(np.float32), requires_grad=True)
 
 
-def linear(params: dict, name: str, x: ad.Tensor) -> ad.Tensor:
+def init_linear(params: dict, name: str, din: int, dout: int, rng: np.random.Generator):
+    init_param(params, f"{name}.W", (din, dout), rng)
+    init_param(params, f"{name}.b", (dout,))
+
+
+def linear(params: dict, name: str, x: ad.Tensor | np.ndarray) -> ad.Tensor:
+    """x @ W + b; an array ``x`` is cast to the parameters' dtype."""
     return ad.add(ad.matmul(x, params[f"{name}.W"]), params[f"{name}.b"])
 
 
-def init_attention(params: dict, prefix: str, dim: int,
-                   rng: np.random.Generator, dtype=np.float32):
+def init_attention(params: dict, prefix: str, dim: int, rng: np.random.Generator):
     for part in ("q", "k", "v", "o"):
-        init_linear(params, f"{prefix}.{part}", dim, dim, rng, dtype)
+        init_linear(params, f"{prefix}.{part}", dim, dim, rng)
 
 
 def attention(params: dict, prefix: str, q_in: ad.Tensor, kv_in: ad.Tensor,
@@ -53,10 +59,9 @@ def attention(params: dict, prefix: str, q_in: ad.Tensor, kv_in: ad.Tensor,
     return linear(params, f"{prefix}.o", ctx)
 
 
-def init_ffn(params: dict, prefix: str, dim: int, rng: np.random.Generator,
-             dtype=np.float32, hidden_mult: int = 4):
-    init_linear(params, f"{prefix}.fc1", dim, dim * hidden_mult, rng, dtype)
-    init_linear(params, f"{prefix}.fc2", dim * hidden_mult, dim, rng, dtype)
+def init_ffn(params: dict, prefix: str, dim: int, rng: np.random.Generator):
+    init_linear(params, f"{prefix}.fc1", dim, dim * 4, rng)
+    init_linear(params, f"{prefix}.fc2", dim * 4, dim, rng)
 
 
 def ffn(params: dict, prefix: str, x: ad.Tensor) -> ad.Tensor:
@@ -64,10 +69,9 @@ def ffn(params: dict, prefix: str, x: ad.Tensor) -> ad.Tensor:
                   ad.gelu(linear(params, f"{prefix}.fc1", x)))
 
 
-def init_encoder_layer(params: dict, prefix: str, dim: int,
-                       rng: np.random.Generator, dtype=np.float32):
-    init_attention(params, f"{prefix}.attn", dim, rng, dtype)
-    init_ffn(params, f"{prefix}.ffn", dim, rng, dtype)
+def init_encoder_layer(params: dict, prefix: str, dim: int, rng: np.random.Generator):
+    init_attention(params, f"{prefix}.attn", dim, rng)
+    init_ffn(params, f"{prefix}.ffn", dim, rng)
 
 
 def encoder_layer(params: dict, prefix: str, x: ad.Tensor, heads: int) -> ad.Tensor:
@@ -77,10 +81,9 @@ def encoder_layer(params: dict, prefix: str, x: ad.Tensor, heads: int) -> ad.Ten
     return ad.add(x, ffn(params, f"{prefix}.ffn", ad.layernorm(x)))
 
 
-def init_cross_layer(params: dict, prefix: str, dim: int,
-                     rng: np.random.Generator, dtype=np.float32):
-    init_attention(params, f"{prefix}.xattn", dim, rng, dtype)
-    init_ffn(params, f"{prefix}.ffn", dim, rng, dtype)
+def init_cross_layer(params: dict, prefix: str, dim: int, rng: np.random.Generator):
+    init_attention(params, f"{prefix}.xattn", dim, rng)
+    init_ffn(params, f"{prefix}.ffn", dim, rng)
 
 
 def cross_layer(params: dict, prefix: str, q: ad.Tensor, memory: ad.Tensor,

@@ -24,6 +24,7 @@ from .features import FeatureGrid, cell_of
 from .trajectory import Fixation, MagLevel
 
 SIDECAR_KEYS = ("dim", "layers", "heads")  # what encoding with a saved model needs
+LEVELS = (1, 2, 3, 4)  # the magnifications train-heatmap models: 2X, 4X, 10X, 20X
 
 
 @dataclass
@@ -31,11 +32,9 @@ class HeatmapModelConfig:
     dim: int = 32
     layers: int = 2
     heads: int = 4
-    mags_trained: tuple[int, ...] = (1, 2, 3, 4)  # 2X, 4X, 10X, 20X indices
     lr: float = 1e-3
     epochs: int = 100
     seed: int = 0
-    dtype: type = np.float32
 
     def __post_init__(self):
         if self.dim % self.heads != 0:
@@ -76,13 +75,10 @@ def init_heatmap_params(
     n_tokens: int, config: HeatmapModelConfig, rng: np.random.Generator
 ) -> dict[str, ad.Tensor]:
     params: dict[str, ad.Tensor] = {}
-    params["pos"] = ad.Tensor(
-        (rng.standard_normal((n_tokens, config.dim)) * 0.02).astype(config.dtype),
-        requires_grad=True,
-    )
+    nn.init_param(params, "pos", (n_tokens, config.dim), rng)
     for layer in range(config.layers):
-        nn.init_encoder_layer(params, f"enc{layer}", config.dim, rng, config.dtype)
-    nn.init_linear(params, "decode", config.dim, 1, rng, config.dtype)
+        nn.init_encoder_layer(params, f"enc{layer}", config.dim, rng)
+    nn.init_linear(params, "decode", config.dim, 1, rng)
     return params
 
 
@@ -92,10 +88,9 @@ def encode(
     """Contextual token grid z_L: add positional embeddings, run L layers."""
     if grid.dim != config.dim:
         raise ShapeError(f"grid dim {grid.dim} != model dim {config.dim}")
-    tokens = ad.Tensor(grid.flat().astype(config.dtype))
-    if tokens.shape[0] != params["pos"].shape[0]:
+    if grid.rows * grid.cols != params["pos"].shape[0]:
         raise ShapeError("token count does not match positional table")
-    x = ad.add(tokens, params["pos"])
+    x = ad.add(grid.flat(), params["pos"])
     for layer in range(config.layers):
         x = nn.encoder_layer(params, f"enc{layer}", x, config.heads)
     return x
@@ -153,14 +148,14 @@ def train_heatmap(
     corpus: dict[int, list[tuple[FeatureGrid, np.ndarray]]],
     config: HeatmapModelConfig,
 ) -> tuple[dict[int, dict[str, ad.Tensor]], dict[int, list[float]]]:
-    """Train one model per magnification level; returns params and loss curves."""
+    """Train one model per magnification level the corpus holds, in level
+    order; returns params and loss curves."""
     if not corpus or all(not v for v in corpus.values()):
         raise InvalidInputError("empty training corpus")
     models: dict[int, dict[str, ad.Tensor]] = {}
     curves: dict[int, list[float]] = {}
-    for mag_idx in config.mags_trained:
-        items = corpus.get(mag_idx, [])
-        items = [(g, h) for g, h in items if np.ptp(h) > 0]
+    for mag_idx in sorted(corpus):
+        items = [(g, h) for g, h in corpus[mag_idx] if np.ptp(h) > 0]
         if not items:
             continue
         rng = np.random.default_rng((config.seed, mag_idx))

@@ -30,6 +30,7 @@ from .features import FeatureGrid, cell_of, token_at
 from .trajectory import MagLevel, Fixation, Scanpath
 
 TEMPORAL_CAP = 150  # matches the simplification fixation cap
+FOCAL_GAMMA, FOCAL_BETA = 2.0, 4.0  # focal-loss exponents
 SIDECAR_KEYS = ("dim", "model_dim", "enc_layers", "dec_layers", "heads")
 
 
@@ -40,19 +41,11 @@ class ScanpathModelConfig:
     enc_layers: int = 1
     dec_layers: int = 1
     heads: int = 4
-    lambda_mag: float = 1.0
-    focal_gamma: float = 2.0
-    focal_beta: float = 4.0
     lr: float = 1e-3
     epochs: int = 30
     seed: int = 0
-    dtype: type = np.float32
 
     def __post_init__(self):
-        if self.focal_gamma <= 0 or self.focal_beta <= 0:
-            raise InvalidConfigError("focal exponents must be positive")
-        if self.lambda_mag < 0:
-            raise InvalidConfigError("lambda_mag must be >= 0")
         if self.model_dim % self.heads != 0:
             raise InvalidConfigError("model_dim must be divisible by heads")
 
@@ -62,29 +55,20 @@ def init_scanpath_params(
 ) -> dict[str, ad.Tensor]:
     d, c = config.dim, config.model_dim
     params: dict[str, ad.Tensor] = {}
-
-    def table(name: str, n: int):
-        params[name] = ad.Tensor(
-            (rng.standard_normal((n, c)) * 0.02).astype(config.dtype),
-            requires_grad=True,
-        )
-
-    nn.init_linear(params, "inproj", d, c, rng, config.dtype)
-    table("pos2x", f2x_tokens)
-    table("scale_emb", 2)  # 0 = wsi token, 1 = viewport token
-    table("temporal_emb", TEMPORAL_CAP + 1)  # 0 reserved for wsi tokens
-    table("mag_emb", 6)
+    nn.init_linear(params, "inproj", d, c, rng)
+    nn.init_param(params, "pos2x", (f2x_tokens, c), rng)
+    nn.init_param(params, "scale_emb", (2, c), rng)  # 0 = wsi token, 1 = viewport token
+    nn.init_param(params, "temporal_emb", (TEMPORAL_CAP + 1, c), rng)  # 0: wsi tokens
+    nn.init_param(params, "mag_emb", (6, c), rng)
     for layer in range(config.enc_layers):
-        nn.init_encoder_layer(params, f"mem{layer}", c, rng, config.dtype)
+        nn.init_encoder_layer(params, f"mem{layer}", c, rng)
     for layer in range(config.dec_layers):
-        nn.init_cross_layer(params, f"dec{layer}", c, rng, config.dtype)
-    params["query"] = ad.Tensor(
-        (rng.standard_normal((1, c)) * 0.02).astype(config.dtype), requires_grad=True
-    )
-    nn.init_linear(params, "mlph.fc1", c, 2 * c, rng, config.dtype)
-    nn.init_linear(params, "mlph.fc2", 2 * c, 2 * c, rng, config.dtype)
-    nn.init_linear(params, "mlph.fc3", 2 * c, d, rng, config.dtype)
-    nn.init_linear(params, "maghead", 6, 6, rng, config.dtype)
+        nn.init_cross_layer(params, f"dec{layer}", c, rng)
+    nn.init_param(params, "query", (1, c), rng)
+    nn.init_linear(params, "mlph.fc1", c, 2 * c, rng)
+    nn.init_linear(params, "mlph.fc2", 2 * c, 2 * c, rng)
+    nn.init_linear(params, "mlph.fc3", 2 * c, d, rng)
+    nn.init_linear(params, "maghead", 6, 6, rng)
     return params
 
 
@@ -107,12 +91,10 @@ def build_memory(
     A fixation outside the WSI raises RangeError from ``cell_of``.
     """
     n_wsi = f2x.rows * f2x.cols
-    feats = [f2x.flat().astype(config.dtype)]
+    feats = f2x.flat()
     if history:
-        feats.append(
-            np.stack([token_at(f10x, f.x, f.y) for f in history]).astype(config.dtype)
-        )
-    raw = nn.linear(params, "inproj", ad.Tensor(np.concatenate(feats, axis=0)))
+        feats = np.concatenate([feats, [token_at(f10x, f.x, f.y) for f in history]])
+    raw = nn.linear(params, "inproj", feats)
 
     pos_idx = list(range(n_wsi)) + [_pos_index(f2x, f.x, f.y) for f in history]
     scale_idx = [0] * n_wsi + [1] * len(history)
@@ -157,8 +139,7 @@ def predict_fixation_heatmap(
     v = mlp_h(qp, params)
     if v.shape[-1] != f10x.dim:
         raise ShapeError("MLP_H output dim does not match feature dim")
-    flat = ad.Tensor(f10x.flat().astype(v.data.dtype))
-    scores = ad.matmul(flat, ad.transpose(v))  # (N, 1)
+    scores = ad.matmul(f10x.flat(), ad.transpose(v))  # (N, 1)
     return ad.reshape(ad.sigmoid(scores), (f10x.rows, f10x.cols))
 
 
@@ -175,10 +156,9 @@ def predict_mag(cm: np.ndarray, params: dict[str, ad.Tensor]) -> ad.Tensor:
     return ad.reshape(ad.sigmoid(nn.linear(params, "maghead", x)), (6,))
 
 
-def focal_loss(
-    pred: ad.Tensor, gt: np.ndarray, gamma: float = 2.0, beta: float = 4.0
-) -> ad.Tensor:
-    """Pixel-wise focal loss averaged over the map.
+def focal_loss(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
+    """Pixel-wise focal loss (exponents FOCAL_GAMMA, FOCAL_BETA) averaged
+    over the map.
 
     gt must contain at least one cell equal to 1 (the target peak).
     """
@@ -188,12 +168,12 @@ def focal_loss(
     if not np.any(gt == 1.0):
         raise ContractError("focal loss requires a gt cell equal to 1")
     pos = (gt == 1.0).astype(np.float64)
-    neg_w = ((1.0 - gt) ** beta) * (1.0 - pos)
+    neg_w = ((1.0 - gt) ** FOCAL_BETA) * (1.0 - pos)
 
     p = ad.clamp(pred, 1e-7, 1.0 - 1e-7)
     one_minus = ad.sub(1.0, p)
-    pos_term = ad.mul(pos, ad.mul(ad.pow_const(one_minus, gamma), ad.log(p)))
-    neg_term = ad.mul(neg_w, ad.mul(ad.pow_const(p, gamma), ad.log(one_minus)))
+    pos_term = ad.mul(pos, ad.mul(ad.pow_const(one_minus, FOCAL_GAMMA), ad.log(p)))
+    neg_term = ad.mul(neg_w, ad.mul(ad.pow_const(p, FOCAL_GAMMA), ad.log(one_minus)))
     total = ad.sum_(ad.add(pos_term, neg_term))
     return ad.scale(total, -1.0 / gt.size)
 
@@ -219,8 +199,9 @@ def mag_loss(pred: ad.Tensor, gt_level: int, weights: np.ndarray) -> ad.Tensor:
     return ad.scale(ad.log(p_gt), -float(weights[gt_level]))
 
 
-def total_loss(fix_loss: ad.Tensor, mag_loss_: ad.Tensor, lambda_mag: float) -> ad.Tensor:
-    return ad.add(fix_loss, ad.scale(mag_loss_, lambda_mag))
+def total_loss(fix_loss: ad.Tensor, mag_loss_: ad.Tensor) -> ad.Tensor:
+    """The training objective: fixation and magnification losses, unit weights."""
+    return ad.add(fix_loss, mag_loss_)
 
 
 def forward_step(
@@ -302,16 +283,15 @@ def train_scanpath(
                 )
             ad.zero_grads(params)
             heat, mags = forward_step(params, config, f2x, f10x, sp.fixations[:k])
-            l_fix = focal_loss(heat, y_cache[key], config.focal_gamma, config.focal_beta)
+            l_fix = focal_loss(heat, y_cache[key])
             l_mag = mag_loss(mags, target.mag.index, weights)
-            loss = total_loss(l_fix, l_mag, config.lambda_mag)
+            loss = total_loss(l_fix, l_mag)
             ad.backward(loss)
             ad.adam_step(params, state, lr=config.lr)
             tot_fix += l_fix.item()
             tot_mag += l_mag.item()
         n = len(examples)
-        log.append((epoch, tot_fix / n, tot_mag / n,
-                    (tot_fix + config.lambda_mag * tot_mag) / n))
+        log.append((epoch, tot_fix / n, tot_mag / n, (tot_fix + tot_mag) / n))
     return params, log
 
 

@@ -2,14 +2,14 @@
 
 Everything here is seed-deterministic plumbing that lets the training,
 inference and metric pipelines run end-to-end without real slides.  The
-default reader profile is shaped so that corpus-level magnification
-statistics show the expected pattern: zooming in dominates at low
+simulated readers' magnification prior is shaped so that corpus-level
+magnification statistics show the expected pattern: zooming in dominates at low
 magnifications, zooming out at high ones, with 10X the most-used level.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -65,25 +65,6 @@ DEFAULT_TRANSITION_PRIOR = np.array(
         [0.40, 0.60, 0.00],  # 40X: can only stay or zoom out
     ]
 )
-
-
-@dataclass
-class ReaderProfile:
-    drill_bias: float = 0.7
-    mag_transition_prior: np.ndarray = field(
-        default_factory=lambda: DEFAULT_TRANSITION_PRIOR.copy()
-    )
-    noise_sigma: float = 0.0
-
-    def __post_init__(self):
-        p = np.asarray(self.mag_transition_prior, dtype=float)
-        if p.shape != (6, 3):
-            raise InvalidConfigError("mag_transition_prior must be 6x3")
-        if not np.allclose(p.sum(axis=1), 1.0):
-            raise InvalidConfigError("mag_transition_prior rows must sum to 1")
-        if p[0, 0] != 0.0 or p[5, 2] != 0.0:
-            raise InvalidConfigError("impossible boundary moves must have weight 0")
-        self.mag_transition_prior = p
 
 
 def gen_wsi(
@@ -149,20 +130,20 @@ def _grow_blob(grid: np.ndarray, rng: np.random.Generator, code: int, count: int
 
 def simulate_reader(
     wsi: GradeMap,
-    profile: ReaderProfile,
     seed: int,
     n_samples: int,
     wsi_id: str = "wsi",
     reader_id: str = "reader",
     expertise: str = "specialist",
+    drill_bias: float = 0.7,
 ) -> RawTrajectory:
     """Simulate a dense viewport trajectory over a grade map.
 
     The first sample fits the WSI in the viewport (1X, center).  Each
-    subsequent step draws a magnification move from the per-level prior
-    (so consecutive levels never differ by more than one index) and a
-    location from the tissue cells, weighted toward higher grades by
-    ``drill_bias``.
+    subsequent step draws a magnification move from the per-level
+    ``DEFAULT_TRANSITION_PRIOR`` (so consecutive levels never differ by
+    more than one index) and a location from the tissue cells, weighted
+    toward higher grades by ``drill_bias``.
     """
     if n_samples < 10:
         raise InvalidInputError("n_samples must be >= 10")
@@ -174,7 +155,7 @@ def simulate_reader(
     grades = wsi.grid[tissue[:, 0], tissue[:, 1]].astype(float)
     # boost 0 for Benign, 2/3/4 for G3/G4/G5; drill_bias=0 is uniform
     boost = np.where(grades == BENIGN, 0.0, grades)
-    weights = 1.0 + profile.drill_bias * boost
+    weights = 1.0 + drill_bias * boost
     weights = weights / weights.sum()
 
     samples = [
@@ -187,15 +168,12 @@ def simulate_reader(
     ]
     level = 0
     for _ in range(n_samples - 1):
-        move = rng.choice(3, p=profile.mag_transition_prior[level])
+        move = rng.choice(3, p=DEFAULT_TRANSITION_PRIOR[level])
         level = min(5, max(0, level + (move - 1)))
         k = rng.choice(len(tissue), p=weights)
         r, c = tissue[k]
         x = (c + rng.random()) * wsi.cell_size
         y = (r + rng.random()) * wsi.cell_size
-        if profile.noise_sigma > 0:
-            x += rng.normal(0, profile.noise_sigma)
-            y += rng.normal(0, profile.noise_sigma)
         x = float(np.clip(x, 0, wsi.width_px - 1e-6))
         y = float(np.clip(y, 0, wsi.height_px - 1e-6))
         samples.append(ViewportSample(x, y, MagLevel(level), _duration(rng)))

@@ -1,8 +1,9 @@
 import numpy as np
 import pytest
 
+import pathscan.autodiff as ad
 from pathscan.features import SyntheticFeatureProvider
-from pathscan.synth import ReaderProfile, gen_wsi, simulate_reader
+from pathscan.synth import gen_wsi, simulate_reader
 from pathscan.trajectory import SimplifyParams, simplify
 
 
@@ -17,7 +18,6 @@ def make_corpus(
     base_grid: int = 8,
 ):
     """Seeded grade maps, simplified scanpaths, and a feature provider."""
-    profile = ReaderProfile(drill_bias=drill_bias)
     maps = {}
     scanpaths = []
     for w in range(n_wsis):
@@ -26,12 +26,18 @@ def make_corpus(
         maps[wsi_id] = gm
         for r in range(n_readers):
             traj = simulate_reader(
-                gm, profile, seed + 1000 * w + r + 1, n_samples,
-                wsi_id=wsi_id, reader_id=f"reader_{r:02d}",
+                gm, seed + 1000 * w + r + 1, n_samples,
+                wsi_id=wsi_id, reader_id=f"reader_{r:02d}", drill_bias=drill_bias,
             )
             scanpaths.append(simplify(traj, SimplifyParams(wsi_width=gm.width_px)))
     provider = SyntheticFeatureProvider(maps, dim=dim, base_grid=base_grid, seed=seed)
     return maps, scanpaths, provider
+
+
+def upcast(params):
+    """The same model in float64: every parameter upcast, still trainable."""
+    return {k: ad.Tensor(p.data.astype(np.float64), requires_grad=True)
+            for k, p in params.items()}
 
 
 @pytest.fixture(scope="session")

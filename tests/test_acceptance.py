@@ -19,7 +19,7 @@ import pathscan.cli as cli
 import pathscan.inference as inf
 import pathscan.metrics as mx
 import pathscan.pat_s as ps
-from conftest import make_corpus
+from conftest import make_corpus, upcast
 from pathscan.baselines import (
     estimate_transition_matrix,
     random1_scanpath,
@@ -27,7 +27,7 @@ from pathscan.baselines import (
 )
 from pathscan.features import FeatureGrid, SyntheticFeatureProvider, cell_of
 from pathscan.pat_h import HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
-from pathscan.synth import DEFAULT_TRANSITION_PRIOR, ReaderProfile, gen_wsi, simulate_reader
+from pathscan.synth import DEFAULT_TRANSITION_PRIOR, gen_wsi, simulate_reader
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 from test_autodiff import fd_check
 from test_metrics import auc_pairwise_oracle
@@ -95,8 +95,7 @@ def test_criterion_2_pinned_micro_examples(capsys):
     got = inf.next_mag_probmag(logits, MagLevel(1), deterministic=True)
     assert got == MagLevel(2)  # 4X
 
-    cfg = ps.ScanpathModelConfig()
-    assert cfg.focal_gamma == 2.0 and cfg.focal_beta == 4.0
+    assert (ps.FOCAL_GAMMA, ps.FOCAL_BETA) == (2.0, 4.0)
     pred = ad.Tensor(np.array([[0.5]]))
     want = -((1 - 0.5) ** 2) * np.log(0.5)
     assert ps.focal_loss(pred, np.array([[1.0]])).item() == pytest.approx(want)
@@ -168,12 +167,12 @@ def test_criterion_3_gradient_integrity(capsys):
     fd_check(lambda a: ps.mag_loss(ad.reshape(ad.sigmoid(a), (6,)), 2, weights),
              R.standard_normal((1, 6)))
 
-    # end-to-end through the miniature stage-2 network in float64
-    cfg = ps.ScanpathModelConfig(dim=8, model_dim=8, heads=2, dtype=np.float64)
+    # end-to-end through the miniature stage-2 network, its parameters upcast to float64
+    cfg = ps.ScanpathModelConfig(dim=8, model_dim=8, heads=2)
     rng = np.random.default_rng(1)
     f2x = FeatureGrid(MagLevel(1), rng.random((2, 2, 8)), 1000.0, 1000.0)
     f10x = FeatureGrid(MagLevel(3), rng.random((3, 3, 8)), 1000.0, 1000.0)
-    params = ps.init_scanpath_params(4, cfg, rng)
+    params = upcast(ps.init_scanpath_params(4, cfg, rng))
     history = [Fixation(200.0, 300.0, MagLevel(1), 100.0),
                Fixation(700.0, 600.0, MagLevel(2), 150.0)]
     gt = gaussian_map([Fixation(500.0, 2500.0 / 3, MagLevel(3), 0.0)], (3, 3),
@@ -183,7 +182,7 @@ def test_criterion_3_gradient_integrity(capsys):
         heat, mags = ps.forward_step(params, cfg, f2x, f10x, history)
         fix_l = ps.focal_loss(heat, gt)
         mag_l = ps.mag_loss(mags, 2, weights)
-        return ps.total_loss(fix_l, mag_l, cfg.lambda_mag)
+        return ps.total_loss(fix_l, mag_l)
 
     ad.zero_grads(params)
     loss = loss_value()
@@ -399,8 +398,7 @@ def test_criterion_6_learning_signal(capsys):
 def test_criterion_7_overfit_sanity(capsys):
     # stage 2: memorize a single drilling scanpath on a focal lesion
     gm = gen_wsi(1, 16, 16, grade_mix={"G5": 1.0}, tissue_fraction=0.025)
-    traj = simulate_reader(gm, ReaderProfile(drill_bias=5.0), 101, 80,
-                           wsi_id="w", reader_id="r")
+    traj = simulate_reader(gm, 101, 80, wsi_id="w", reader_id="r", drill_bias=5.0)
     sp = simplify(traj, SimplifyParams(wsi_width=gm.width_px))
     provider = SyntheticFeatureProvider({"w": gm}, dim=16, base_grid=1, seed=1)
     f2x = provider.get("w", MagLevel(1))
@@ -431,8 +429,7 @@ def test_criterion_7_overfit_sanity(capsys):
         hm = gaussian_map(fixations, (grid.rows, grid.cols),
                           gm2.width_px, gm2.height_px)
         corpus[mag_idx] = [(grid, hm)]
-    h_cfg = HeatmapModelConfig(dim=16, heads=2, epochs=50, lr=3e-3, seed=0,
-                               mags_trained=(1, 3))
+    h_cfg = HeatmapModelConfig(dim=16, heads=2, epochs=50, lr=3e-3, seed=0)
     _, curves = train_heatmap(corpus, h_cfg)
     ratios = {m: c[-1] / c[0] for m, c in curves.items()}
 

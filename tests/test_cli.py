@@ -120,7 +120,16 @@ class TestUsageErrors:
      "heads = 3\nmodel_dim = 16\n"),
     (4, "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck",
      "epochs = 1\nlr = 1e30\ndim = 16\nmodel_dim = 16\nheads = 2\n"),
-], ids=["success", "usage", "data", "config", "numeric"])
+    (2, "predict --ckpt {t}/s.psck --corpus {c} --wsi wsi_000 --n abc --out {t}/p.jsonl",
+     None),
+    (2, "predict --ckpt {t}/s.psck --corpus {c} --wsi wsi_000 --n 0 --out {t}/p.jsonl",
+     None),
+    (3, "render --scanpath {c}/scanpaths.jsonl --grades {c}/wsi_000.grid --index 5 "
+        "--out {t}/r.svg", None),
+    (3, "render --scanpath {c}/scanpaths.jsonl --grades {c}/wsi_000.grid --index -1 "
+        "--out {t}/r.svg", None),
+], ids=["success", "usage", "data", "config", "numeric", "predict-n-not-int",
+        "predict-n-zero", "render-index-past-end", "render-index-negative"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path):
     """0 success, 2 usage, 3 data, file or configuration, 4 numeric failure."""

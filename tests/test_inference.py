@@ -237,6 +237,13 @@ class TestRollout:
         with pytest.raises(InvalidInputError):
             inf.rollout(params, config, f2x, f10x, 3, mode="magic")
 
+    @pytest.mark.parametrize("radius", [0.0, -150.0])
+    def test_non_positive_ior_radius_rejected(self, rollout_setup, radius):
+        # the mask squares the radius, so a negative one would act as its magnitude
+        params, config, f2x, f10x = rollout_setup
+        with pytest.raises(InvalidInputError):
+            inf.rollout(params, config, f2x, f10x, 20, ior_radius_px=radius)
+
 
 @pytest.mark.parametrize("radius", [80.0, 160.0, 300.0, None])
 def test_accumulated_ior_rollouts_match_rebuild(rollout_setup, radius, tmp_path,

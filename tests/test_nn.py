@@ -4,6 +4,8 @@ import pytest
 import pathscan.autodiff as ad
 import pathscan.nn as nn
 
+from conftest import upcast
+
 
 def np_layernorm(x, eps=1e-5):
     mu = x.mean(axis=-1, keepdims=True)
@@ -36,7 +38,8 @@ def np_attention(params, prefix, q_in, kv_in, heads):
 class TestLinear:
     def test_matches_numpy(self, rng):
         params = {}
-        nn.init_linear(params, "l", 4, 3, rng, np.float64)
+        nn.init_linear(params, "l", 4, 3, rng)
+        params = upcast(params)
         x = rng.standard_normal((5, 4))
         out = nn.linear(params, "l", ad.Tensor(x))
         want = x @ params["l.W"].data + params["l.b"].data
@@ -46,7 +49,8 @@ class TestLinear:
 class TestAttention:
     def test_matches_numpy_oracle(self, rng):
         params = {}
-        nn.init_attention(params, "a", 8, rng, np.float64)
+        nn.init_attention(params, "a", 8, rng)
+        params = upcast(params)
         x = rng.standard_normal((6, 8))
         got = nn.attention(params, "a", ad.Tensor(x), ad.Tensor(x), heads=2)
         want = np_attention(params, "a", x, x, heads=2)
@@ -54,7 +58,8 @@ class TestAttention:
 
     def test_cross_attention_shapes(self, rng):
         params = {}
-        nn.init_attention(params, "a", 8, rng, np.float64)
+        nn.init_attention(params, "a", 8, rng)
+        params = upcast(params)
         q = rng.standard_normal((1, 8))
         mem = rng.standard_normal((10, 8))
         out = nn.attention(params, "a", ad.Tensor(q), ad.Tensor(mem), heads=2)
@@ -63,7 +68,8 @@ class TestAttention:
     def test_token_coupling(self, rng):
         # zeroing one memory token changes the other tokens' outputs
         params = {}
-        nn.init_encoder_layer(params, "e", 8, rng, np.float64)
+        nn.init_encoder_layer(params, "e", 8, rng)
+        params = upcast(params)
         x = rng.standard_normal((5, 8))
         base = nn.encoder_layer(params, "e", ad.Tensor(x), heads=2).data
         x2 = x.copy()
@@ -77,7 +83,8 @@ class TestCrossLayer:
     def test_hand_sized_case_matches_manual(self, rng):
         # C=2, single head, memory of 2 tokens: full manual recomputation
         params = {}
-        nn.init_cross_layer(params, "d", 2, rng, np.float64)
+        nn.init_cross_layer(params, "d", 2, rng)
+        params = upcast(params)
         q = np.array([[0.3, -0.5]])
         mem = np.array([[1.0, 0.0], [0.0, 2.0]])
         got = nn.cross_layer(params, "d", ad.Tensor(q), ad.Tensor(mem), heads=1).data
@@ -94,10 +101,22 @@ class TestCrossLayer:
 class TestEncoderLayer:
     def test_gradients_flow(self, rng):
         params = {}
-        nn.init_encoder_layer(params, "e", 8, rng, np.float64)
+        nn.init_encoder_layer(params, "e", 8, rng)
+        params = upcast(params)
         x = ad.Tensor(rng.standard_normal((4, 8)), requires_grad=True)
         out = nn.encoder_layer(params, "e", x, heads=2)
         ad.backward(ad.sum_(ad.mul(out, out)))
         assert x.grad is not None and np.any(x.grad != 0)
         for name, p in params.items():
             assert p.grad is not None, name
+
+
+class TestInitParam:
+    def test_draws_and_zeros_are_trainable_float32(self):
+        params = {}
+        nn.init_param(params, "w", (3, 4), np.random.default_rng(7))
+        nn.init_param(params, "z", (5,))
+        want = (np.random.default_rng(7).standard_normal((3, 4)) * 0.02).astype(np.float32)
+        assert params["w"].data.dtype == np.float32 and np.array_equal(params["w"].data, want)
+        assert params["z"].data.dtype == np.float32 and not params["z"].data.any()
+        assert params["w"].requires_grad and params["z"].requires_grad

@@ -1,3 +1,5 @@
+import dataclasses
+
 import numpy as np
 import pytest
 
@@ -9,6 +11,8 @@ from pathscan.io import write_sidecar
 from pathscan.pat_h import HeatmapModelConfig
 from pathscan.trajectory import Fixation, MagLevel
 
+from conftest import upcast
+
 
 def tiny_grid(rows=3, cols=3, dim=8, seed=0):
     data = np.random.default_rng(seed).standard_normal((rows, cols, dim))
@@ -16,7 +20,7 @@ def tiny_grid(rows=3, cols=3, dim=8, seed=0):
 
 
 def tiny_config(**kw):
-    defaults = dict(dim=8, layers=1, heads=2, epochs=5, dtype=np.float64)
+    defaults = dict(dim=8, layers=1, heads=2, epochs=5)
     defaults.update(kw)
     return HeatmapModelConfig(**defaults)
 
@@ -110,7 +114,7 @@ class TestEncode:
     def test_permutation_equivariance(self, rng):
         config = tiny_config(layers=1)
         grid = tiny_grid(2, 2, 8)
-        params = pat_h.init_heatmap_params(4, config, rng)
+        params = upcast(pat_h.init_heatmap_params(4, config, rng))
         base = pat_h.encode(grid, params, config).data
 
         perm = np.array([2, 0, 3, 1])
@@ -180,13 +184,13 @@ class TestTraining:
         return {1: items}
 
     def test_loss_decreases(self):
-        config = tiny_config(epochs=10, mags_trained=(1,), seed=0)
+        config = tiny_config(epochs=10, seed=0)
         models, curves = pat_h.train_heatmap(self.make_corpus(), config)
         assert 1 in models
         assert curves[1][-1] < curves[1][0]
 
     def test_deterministic(self):
-        config = tiny_config(epochs=3, mags_trained=(1,), seed=4)
+        config = tiny_config(epochs=3, seed=4)
         m1, c1 = pat_h.train_heatmap(self.make_corpus(), config)
         m2, c2 = pat_h.train_heatmap(self.make_corpus(), config)
         assert c1 == c2
@@ -194,7 +198,7 @@ class TestTraining:
             assert np.array_equal(m1[1][k].data, m2[1][k].data)
 
     def test_save_load_roundtrip(self, tmp_path):
-        config = tiny_config(epochs=2, mags_trained=(1,))
+        config = tiny_config(epochs=2)
         models, _ = pat_h.train_heatmap(self.make_corpus(), config)
         path = tmp_path / "h.psck"
         pat_h.save_heatmap_models(path, models)
@@ -211,9 +215,38 @@ def test_one_epoch_at_default_config_stays_float32():
     rng = np.random.default_rng(5)
     config = HeatmapModelConfig(epochs=1)
     corpus = {m: [(tiny_grid(4, 4, config.dim, seed=m), rng.random((4, 4)))]
-              for m in config.mags_trained}
+              for m in pat_h.LEVELS}
     models, _ = pat_h.train_heatmap(corpus, config)
     promoted = {(m, k) for m, ps in models.items() for k, p in ps.items()
                 if p.data.dtype != np.float32}
-    assert set(models) == set(config.mags_trained) and promoted == set()
+    assert list(models) == list(pat_h.LEVELS) and promoted == set()
+
+
+def test_trains_the_levels_its_corpus_holds_in_level_order():
+    rng = np.random.default_rng(6)
+    corpus = {m: [(tiny_grid(3, 3, 8, seed=m), rng.random((3, 3)))] for m in (5, 0, 3)}
+    models, curves = pat_h.train_heatmap(corpus, tiny_config(epochs=1))
+    assert list(models) == list(curves) == [0, 3, 5]
+
+
+def test_init_makes_only_float32_tensors(rng):
+    params = pat_h.init_heatmap_params(9, tiny_config(), rng)
+    assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+    assert all(p.requires_grad for p in params.values())
+
+
+def test_upcast_model_encodes_float32_grids_in_float64(rng):
+    config = tiny_config()
+    grid = tiny_grid(3, 3, 8)
+    assert grid.data.dtype == np.float32
+    params = upcast(pat_h.init_heatmap_params(9, config, rng))
+    z = pat_h.encode(grid, params, config)
+    assert z.data.dtype == np.float64
+    ad.backward(pat_h.loss_cc(pat_h.decode_scores(z, params), rng.random((3, 3))))
+    assert {p.grad.dtype for p in params.values()} == {np.dtype(np.float64)}
+
+
+def test_config_fields_are_pinned():
+    assert {f.name for f in dataclasses.fields(HeatmapModelConfig)} == {
+        "dim", "layers", "heads", "lr", "epochs", "seed"}
 

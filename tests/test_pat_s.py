@@ -1,3 +1,4 @@
+import dataclasses
 import math
 
 import numpy as np
@@ -11,7 +12,7 @@ from pathscan.pat_h import gaussian_map
 from pathscan.pat_s import ScanpathModelConfig
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
-from conftest import make_corpus
+from conftest import make_corpus, upcast
 
 
 def target_map(shape, cell, mag):
@@ -21,8 +22,7 @@ def target_map(shape, cell, mag):
 
 
 def tiny_config(**kw):
-    defaults = dict(dim=8, model_dim=8, enc_layers=1, dec_layers=1, heads=2,
-                    dtype=np.float64)
+    defaults = dict(dim=8, model_dim=8, enc_layers=1, dec_layers=1, heads=2)
     defaults.update(kw)
     return ScanpathModelConfig(**defaults)
 
@@ -67,13 +67,13 @@ class TestFocalLoss:
     def test_hand_value_at_gt_one(self):
         # single gt=1 cell with prediction 0.5: term is (1-0.5)^2 log 0.5
         pred = ad.Tensor(np.array([[0.5]]))
-        loss = pat_s.focal_loss(pred, np.array([[1.0]]), gamma=2.0, beta=4.0)
+        loss = pat_s.focal_loss(pred, np.array([[1.0]]))
         assert loss.item() == pytest.approx(-0.25 * math.log(0.5))
 
     def test_negative_cell_weighting(self):
         # 2 cells: gt = [1, 0.5]; the soft cell uses (1-gt)^beta * p^gamma * log(1-p)
         pred = ad.Tensor(np.array([0.5, 0.4]))
-        loss = pat_s.focal_loss(pred, np.array([1.0, 0.5]), gamma=2.0, beta=4.0)
+        loss = pat_s.focal_loss(pred, np.array([1.0, 0.5]))
         pos = (0.5 ** 2) * math.log(0.5)
         neg = (0.5 ** 4) * (0.4 ** 2) * math.log(0.6)
         assert loss.item() == pytest.approx(-(pos + neg) / 2.0)
@@ -221,7 +221,7 @@ class TestForwardStep:
         assert np.unravel_index(np.argmax(heat.data), (4, 4)) == (2, 3)
 
     def test_gradient_flows_to_both_heads(self, rng):
-        config = tiny_config(lambda_mag=1.0)
+        config = tiny_config()
         f2x, f10x = tiny_grids()
         params = pat_s.init_scanpath_params(9, config, rng)
         heat, mags = pat_s.forward_step(params, config, f2x, f10x, [fix(500, 500)])
@@ -229,12 +229,40 @@ class TestForwardStep:
         loss = pat_s.total_loss(
             pat_s.focal_loss(heat, gt),
             pat_s.mag_loss(mags, 3, np.ones(6)),
-            1.0,
         )
         ad.backward(loss)
         assert np.any(params["maghead.W"].grad != 0)
         assert np.any(params["mlph.fc1.W"].grad != 0)
         assert np.any(params["inproj.W"].grad != 0)
+
+
+class TestDtype:
+    """A model's dtype is its parameters' dtype: float32 from init, float64
+    after an upcast, whatever the dtype of the provider grids."""
+
+    def test_init_makes_only_float32_tensors(self, rng):
+        params = pat_s.init_scanpath_params(9, tiny_config(), rng)
+        assert {p.data.dtype for p in params.values()} == {np.dtype(np.float32)}
+        assert all(p.requires_grad for p in params.values())
+
+    def test_upcast_model_runs_in_float64_on_float32_grids(self, rng):
+        config = tiny_config()
+        f2x, f10x = tiny_grids()
+        assert f2x.data.dtype == f10x.data.dtype == np.float32
+        params = upcast(pat_s.init_scanpath_params(9, config, rng))
+        heat, mags = pat_s.forward_step(params, config, f2x, f10x,
+                                        [fix(100, 100), fix(700, 500, 2)])
+        assert heat.data.dtype == mags.data.dtype == np.float64
+        gt = target_map((4, 4), (1, 2), MagLevel(3))
+        loss = pat_s.total_loss(pat_s.focal_loss(heat, gt),
+                                pat_s.mag_loss(mags, 2, np.ones(6)))
+        ad.backward(loss)
+        assert {p.grad.dtype for p in params.values()} == {np.dtype(np.float64)}
+
+
+def test_config_fields_are_pinned():
+    assert {f.name for f in dataclasses.fields(ScanpathModelConfig)} == {
+        "dim", "model_dim", "enc_layers", "dec_layers", "heads", "lr", "epochs", "seed"}
 
 
 class TestTargetHeatmap:

@@ -9,7 +9,6 @@ from pathscan.synth import (
     DEFAULT_GRADE_MIX,
     DEFAULT_TRANSITION_PRIOR,
     GradeMap,
-    ReaderProfile,
     gen_wsi,
     simulate_reader,
 )
@@ -56,66 +55,54 @@ class TestGenWsi:
             gen_wsi(1, 16, 16, grade_mix={"Benign": 0.0})
 
 
-class TestReaderProfile:
-    def test_default_prior_valid(self):
-        p = ReaderProfile()
-        assert p.mag_transition_prior.shape == (6, 3)
-        assert np.allclose(p.mag_transition_prior.sum(axis=1), 1.0)
-
-    def test_bad_row_sums_rejected(self):
-        bad = DEFAULT_TRANSITION_PRIOR.copy()
-        bad[1, 1] = 0.9
-        with pytest.raises(InvalidConfigError):
-            ReaderProfile(mag_transition_prior=bad)
-
-    def test_impossible_boundary_moves_rejected(self):
-        bad = DEFAULT_TRANSITION_PRIOR.copy()
-        bad[0] = [0.2, 0.4, 0.4]
-        with pytest.raises(InvalidConfigError):
-            ReaderProfile(mag_transition_prior=bad)
+class TestTransitionPrior:
+    def test_rows_sum_to_one_and_impossible_moves_are_zero(self):
+        p = DEFAULT_TRANSITION_PRIOR
+        assert p.shape == (6, 3)
+        assert np.allclose(p.sum(axis=1), 1.0)
+        assert p[0, 0] == 0.0 and p[5, 2] == 0.0  # no zoom-out at 1X, no zoom-in at 40X
 
 
 class TestSimulateReader:
     def test_starts_centered_at_1x(self):
         gm = gen_wsi(3, 16, 16)
-        t = simulate_reader(gm, ReaderProfile(), 0, 50)
+        t = simulate_reader(gm, 0, 50)
         first = t.samples[0]
         assert (first.x, first.y) == (gm.width_px / 2, gm.height_px / 2)
         assert first.mag.index == 0
 
     def test_band_law_on_samples(self):
         gm = gen_wsi(3, 16, 16)
-        t = simulate_reader(gm, ReaderProfile(), 1, 500)
+        t = simulate_reader(gm, 1, 500)
         idx = [s.mag.index for s in t.samples]
         assert all(abs(b - a) <= 1 for a, b in zip(idx, idx[1:]))
 
     def test_coordinates_in_bounds(self):
         gm = gen_wsi(3, 16, 16)
-        t = simulate_reader(gm, ReaderProfile(noise_sigma=500.0), 2, 300)
+        t = simulate_reader(gm, 2, 300)
         for s in t.samples:
             assert 0 <= s.x < gm.width_px and 0 <= s.y < gm.height_px
 
     def test_durations_positive_and_capped(self):
         gm = gen_wsi(3, 16, 16)
-        t = simulate_reader(gm, ReaderProfile(), 4, 300)
+        t = simulate_reader(gm, 4, 300)
         for s in t.samples:
             assert 0 <= s.t <= 2000.0
 
     def test_too_few_samples_rejected(self):
         gm = gen_wsi(3, 16, 16)
         with pytest.raises(InvalidInputError):
-            simulate_reader(gm, ReaderProfile(), 0, 5)
+            simulate_reader(gm, 0, 5)
 
     def test_deterministic_per_seed(self):
         gm = gen_wsi(3, 16, 16)
-        a = simulate_reader(gm, ReaderProfile(), 9, 60)
-        b = simulate_reader(gm, ReaderProfile(), 9, 60)
+        a = simulate_reader(gm, 9, 60)
+        b = simulate_reader(gm, 9, 60)
         assert a.samples == b.samples
 
     def test_zero_drill_bias_uniform_over_tissue(self):
         gm = gen_wsi(3, 24, 24)
-        profile = ReaderProfile(drill_bias=0.0)
-        t = simulate_reader(gm, profile, 12, 10_001)
+        t = simulate_reader(gm, 12, 10_001, drill_bias=0.0)
         tissue = {tuple(rc) for rc in np.argwhere(gm.grid != BACKGROUND)}
         counts = {rc: 0 for rc in tissue}
         for s in t.samples[1:]:
@@ -128,7 +115,7 @@ class TestSimulateReader:
 
     def test_drill_bias_prefers_tumor(self):
         gm = gen_wsi(3, 24, 24)
-        t = simulate_reader(gm, ReaderProfile(drill_bias=0.9), 13, 5000)
+        t = simulate_reader(gm, 13, 5000, drill_bias=0.9)
         tumor = benign = 0
         n_tumor = int(np.sum(gm.grid > BENIGN))
         n_benign = int(np.sum(gm.grid == BENIGN))
@@ -142,11 +129,10 @@ class TestSimulateReader:
 
     def test_transition_frequencies_converge_to_prior(self):
         gm = gen_wsi(3, 16, 16)
-        t = simulate_reader(gm, ReaderProfile(), 21, 60_000)
+        t = simulate_reader(gm, 21, 60_000)
         idx = [s.mag.index for s in t.samples]
         counts = np.zeros((6, 3))
         for a, b in zip(idx, idx[1:]):
             counts[a, int(np.sign(b - a)) + 1] += 1
         freq = counts / counts.sum(axis=1, keepdims=True)
-        prior = ReaderProfile().mag_transition_prior
-        assert np.all(np.abs(freq - prior) < 0.03)
+        assert np.all(np.abs(freq - DEFAULT_TRANSITION_PRIOR) < 0.03)
