@@ -387,6 +387,8 @@ def zero_grads(params) -> None:
 
 # ---------------------------------------------------------------- optimizer
 
+ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
+
 
 class AdamState:
     def __init__(self):
@@ -395,15 +397,9 @@ class AdamState:
         self.v: dict[str, np.ndarray] = {}
 
 
-def adam_step(
-    params: dict[str, Tensor],
-    state: AdamState,
-    lr: float = 1e-3,
-    beta1: float = 0.9,
-    beta2: float = 0.999,
-    eps: float = 1e-8,
-):
-    """Standard Adam update in place; tensors with grad=None are skipped."""
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 1e-3):
+    """Standard Adam update in place (ADAM_BETA1, ADAM_BETA2, ADAM_EPS);
+    tensors with grad=None are skipped."""
     state.t += 1
     t = state.t
     for name, p in params.items():
@@ -413,11 +409,11 @@ def adam_step(
         if name not in state.m:
             state.m[name] = np.zeros_like(p.data)
             state.v[name] = np.zeros_like(p.data)
-        state.m[name] = beta1 * state.m[name] + (1 - beta1) * g
-        state.v[name] = beta2 * state.v[name] + (1 - beta2) * g * g
-        mhat = state.m[name] / (1 - beta1 ** t)
-        vhat = state.v[name] / (1 - beta2 ** t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + eps)
+        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
+        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
+        mhat = state.m[name] / (1 - ADAM_BETA1 ** t)
+        vhat = state.v[name] / (1 - ADAM_BETA2 ** t)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
 
 
 # ---------------------------------------------------------------- checkpoint

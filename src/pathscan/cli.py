@@ -80,7 +80,7 @@ def load_corpus(corpus_dir: str):
         maps,
         dim=int(cfg.get("feature_dim", FEATURE_DIM)),
         base_grid=int(cfg.get("base_grid", BASE_GRID)),
-        seed=int(cfg.get("seed", 0)),
+        seed=resolve_seed(cfg),
     )
     return maps, scanpaths, provider, cfg
 
@@ -131,13 +131,13 @@ def cmd_gen(args) -> int:
         base = out / wsi_id
         save_grade_map(base, gm)
         files += [str(base.with_suffix(".grid")), str(base.with_suffix(".json"))]
+        params = _simplify_params(cfg, gm.width_px)
         for r in range(args.readers):
             traj = simulate_reader(
                 gm, seed + 1000 * w + r + 1, args.samples,
                 wsi_id=wsi_id, reader_id=f"reader_{r:02d}",
             )
             trajectories.append(traj)
-            params = SimplifyParams(wsi_width=gm.width_px)
             scanpaths.append(simplify(traj, params))
 
     traj_file = out / "trajectories.jsonl"
@@ -390,6 +390,13 @@ def _length(text: str):
     return int(text)
 
 
+def _seed(text: str) -> int:
+    """``--seed``: a non-negative int."""
+    if not text.isdecimal():
+        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
+    return int(text)
+
+
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(prog="pathscan")
     p.add_argument("--version", action="version", version=f"pathscan {VERSION}")
@@ -402,7 +409,7 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simplify)
 
     g = sub.add_parser("gen", help="generate a synthetic corpus")
-    g.add_argument("--seed", type=int, default=None)
+    g.add_argument("--seed", type=_seed, default=None)
     g.add_argument("--wsis", type=int, default=4)
     g.add_argument("--readers", type=int, default=2)
     g.add_argument("--samples", type=int, default=400)
@@ -431,7 +438,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--wsi", required=True)
     pr.add_argument("--mode", choices=("probmag", "priormag"), default="probmag")
     pr.add_argument("--n", type=_length, default="auto")
-    pr.add_argument("--seed", type=int, default=0)
+    pr.add_argument("--seed", type=_seed, default=0)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)
 

@@ -14,10 +14,11 @@ import numpy as np
 
 from .errors import InvalidConfigError, RangeError
 from .synth import GradeMap
-from .trajectory import MagLevel
+from .trajectory import Fixation, MagLevel
 
 FEATURE_DIM = 32  # token dim of a corpus whose config sets no feature_dim
 BASE_GRID = 8  # 1X grid side of a corpus whose config sets no base_grid
+MAX_SIDE = 32  # grid side cap at every magnification
 
 
 @dataclass
@@ -61,26 +62,17 @@ def embed(histograms: np.ndarray, dim: int, seed: int) -> np.ndarray:
     return (tokens / norms).astype(np.float32)
 
 
-def cell_of(
-    x: float, y: float, rows: int, cols: int, width: float, height: float
-) -> tuple[int, int]:
-    """(row, col) of the patch containing (x, y) on a rows x cols grid that
-    spans width x height. A point outside [0, width) x [0, height) raises
-    RangeError, the one bounds check every token, position, target and
-    metric inherits. A point on a patch boundary belongs to the patch that
-    starts there, exactly whenever the patch size width / cols is exactly
-    representable; one whose product rounds up to the far edge stays in
-    the last patch."""
-    if not (0 <= x < width and 0 <= y < height):
-        raise RangeError(f"({x}, {y}) outside WSI bounds")
-    return min(int(y * rows / height), rows - 1), min(int(x * cols / width), cols - 1)
-
-
 def cells_of(
     xs: np.ndarray, ys: np.ndarray, rows: int, cols: int, width: float, height: float
 ) -> tuple[np.ndarray, np.ndarray]:
-    """``cell_of`` of each point: (row indices, column indices); the first
-    point off the slide raises RangeError."""
+    """(row indices, column indices) of the patches containing the points
+    (xs, ys) on a rows x cols grid that spans width x height: the one
+    placement formula and the one bounds check every token, position,
+    target and metric inherits. The first point outside [0, width) x
+    [0, height) raises RangeError. A point on a patch boundary belongs to
+    the patch that starts there, exactly whenever the patch size
+    width / cols is exactly representable; one whose product rounds up to
+    the far edge stays in the last patch."""
     inside = (xs >= 0) & (xs < width) & (ys >= 0) & (ys < height)
     if not inside.all():
         k = int(np.argmin(inside))
@@ -88,6 +80,12 @@ def cells_of(
     r = np.minimum((ys * rows / height).astype(np.intp), rows - 1)
     c = np.minimum((xs * cols / width).astype(np.intp), cols - 1)
     return r, c
+
+
+def xy_of(fixations: list[Fixation]) -> tuple[np.ndarray, np.ndarray]:
+    """The fixations' level-0 (xs, ys) as float64 arrays, for ``cells_of``."""
+    return (np.array([f.x for f in fixations], dtype=np.float64),
+            np.array([f.y for f in fixations], dtype=np.float64))
 
 
 def cell_centres(
@@ -99,14 +97,16 @@ def cell_centres(
     return (np.arange(rows) + 0.5) * height / rows, (np.arange(cols) + 0.5) * width / cols
 
 
-def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
-    """Token of the patch containing (x, y), as placed by ``cell_of``."""
-    return grid.data[cell_of(x, y, grid.rows, grid.cols, grid.width_px, grid.height_px)]
-
-
 def tokens_at(grid: FeatureGrid, xs: np.ndarray, ys: np.ndarray) -> np.ndarray:
-    """``token_at`` of each point, as a (len(xs), dim) array."""
+    """Tokens of the patches containing the points, as placed by
+    ``cells_of``: a (len(xs), dim) array."""
     return grid.data[cells_of(xs, ys, grid.rows, grid.cols, grid.width_px, grid.height_px)]
+
+
+def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
+    """``tokens_at`` of the one point (x, y)."""
+    return tokens_at(grid, np.array([x], dtype=np.float64),
+                     np.array([y], dtype=np.float64))[0]
 
 
 class FeatureProvider:
@@ -120,7 +120,7 @@ class SyntheticFeatureProvider(FeatureProvider):
     """Deterministic featurizer over synthetic grade maps.
 
     Grid resolution scales with the magnification factor (base_grid per
-    side at 1X), capped at ``max_side`` per side so self-attention over a
+    side at 1X), capped at ``MAX_SIDE`` per side so self-attention over a
     grid stays tractable at high magnifications.  One projection matrix
     is shared across all grids so equal histograms map to equal tokens
     everywhere.
@@ -132,7 +132,6 @@ class SyntheticFeatureProvider(FeatureProvider):
         dim: int = FEATURE_DIM,
         base_grid: int = BASE_GRID,
         seed: int = 0,
-        max_side: int = 32,
     ):
         if dim < 8:
             raise InvalidConfigError("embedding dim must be >= 8")
@@ -140,7 +139,6 @@ class SyntheticFeatureProvider(FeatureProvider):
         self.dim = dim
         self.base_grid = base_grid
         self.seed = seed
-        self.max_side = max_side
         self._cache: dict[tuple[str, int], FeatureGrid] = {}
 
     def get(self, wsi_id: str, mag: MagLevel) -> FeatureGrid:
@@ -151,7 +149,7 @@ class SyntheticFeatureProvider(FeatureProvider):
 
     def _build(self, wsi_id: str, mag: MagLevel) -> FeatureGrid:
         gm = self.grade_maps[wsi_id]
-        side = min(self.base_grid * mag.factor, self.max_side)
+        side = min(self.base_grid * mag.factor, MAX_SIDE)
         hist = self._histograms(gm, side)
         tokens = embed(hist, self.dim, self.seed)
         return FeatureGrid(mag, tokens, gm.width_px, gm.height_px)

@@ -11,7 +11,7 @@ import json
 import os
 from pathlib import Path
 
-from .errors import FormatError, InvalidInputError
+from .errors import FormatError, InvalidConfigError, InvalidInputError
 from .synth import GradeMap
 from .trajectory import Fixation, MagLevel, RawTrajectory, Scanpath, ViewportSample
 
@@ -170,10 +170,12 @@ def _parse_value(text: str):
 
 
 def resolve_seed(config: dict) -> int:
-    env = os.environ.get("PATHSCAN_SEED")
-    if env is not None:
-        return int(env)
-    return int(config.get("seed", 0))
+    """The config's ``seed``, 0 if it sets none; anything but a
+    non-negative int raises InvalidConfigError."""
+    seed = config.get("seed", 0)
+    if type(seed) is not int or seed < 0:
+        raise InvalidConfigError(f"seed must be a non-negative int, got {seed!r}")
+    return seed
 
 
 def file_sha256(path) -> str:

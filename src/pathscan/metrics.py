@@ -8,7 +8,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import ContractError, DegenerateInputError, InvalidInputError
-from .features import FeatureProvider, cells_of, token_at, tokens_at
+from .features import FeatureProvider, cells_of, token_at, tokens_at, xy_of
 from .pat_h import gaussian_map
 from .synth import BACKGROUND, GRADE_CHARS, GradeMap
 from .trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
@@ -17,16 +17,11 @@ MATCH, MISMATCH, GAP = 1.0, -1.0, -1.0  # Needleman-Wunsch scores
 _GRADE_BYTES = np.frombuffer(GRADE_CHARS.encode("ascii"), dtype=np.uint8)
 
 
-def _xy(fixations: list[Fixation]) -> tuple[np.ndarray, np.ndarray]:
-    return (np.array([f.x for f in fixations], dtype=np.float64),
-            np.array([f.y for f in fixations], dtype=np.float64))
-
-
-def _fixation_cells(
+def _fixated_cells(
     fixations: list[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
 ) -> set[tuple[int, int]]:
-    """The distinct ``cell_of`` cells of the fixations."""
-    rows, cols = cells_of(*_xy(fixations), shape[0], shape[1], wsi_w, wsi_h)
+    """The distinct ``cells_of`` cells of the fixations."""
+    rows, cols = cells_of(*xy_of(fixations), shape[0], shape[1], wsi_w, wsi_h)
     return set(zip(rows.tolist(), cols.tolist()))
 
 
@@ -39,7 +34,7 @@ def nss(h: np.ndarray, fixations: list[Fixation], wsi_w: float, wsi_h: float) ->
     if std == 0:
         raise DegenerateInputError("nss is undefined for a constant map")
     z = (vals - vals.mean()) / std
-    cells = _fixation_cells(fixations, vals.shape, wsi_w, wsi_h)
+    cells = _fixated_cells(fixations, vals.shape, wsi_w, wsi_h)
     return float(np.mean(z[tuple(zip(*cells))]))
 
 
@@ -55,7 +50,7 @@ def auc_judd(
         raise InvalidInputError("auc requires at least one fixation")
     vals = np.asarray(h, dtype=np.float64)
     mask = np.zeros(vals.shape, dtype=bool)
-    mask[tuple(zip(*_fixation_cells(fixations, vals.shape, wsi_w, wsi_h)))] = True
+    mask[tuple(zip(*_fixated_cells(fixations, vals.shape, wsi_w, wsi_h)))] = True
     n_pos = int(mask.sum())
     n_neg = mask.size - n_pos
     if n_neg == 0:
@@ -67,7 +62,7 @@ def auc_judd(
 
 def grade_string(sp: Scanpath, gm: GradeMap) -> str:
     """Grade labels under the fixation centers; Background fixations dropped."""
-    xs, ys = _xy(sp.fixations)
+    xs, ys = xy_of(sp.fixations)
     labels = gm.grid[cells_of(xs, ys, *gm.grid.shape, gm.width_px, gm.height_px)]
     return _GRADE_BYTES[labels[labels != BACKGROUND]].tobytes().decode("ascii")
 
@@ -114,13 +109,6 @@ def sss(pred: Scanpath, gts: list[Scanpath], gm: GradeMap) -> float:
     return float(np.mean(scores))
 
 
-def _cosine(u: np.ndarray, v: np.ndarray) -> float:
-    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
-    if nu == 0 or nv == 0:
-        return 0.0
-    return float(np.dot(u, v) / (nu * nv))
-
-
 def _unit_rows(tokens: np.ndarray) -> np.ndarray:
     """Rows scaled to unit norm in float64; zero rows stay zero."""
     t = tokens.astype(np.float64)
@@ -140,8 +128,8 @@ def tok_sim_scan(
     tokens at the same level (a zero token scores 0); levels absent from
     either scanpath are skipped.
     """
-    px, py = _xy(pred.fixations)
-    gx, gy = _xy(gt.fixations)
+    px, py = xy_of(pred.fixations)
+    gx, gy = xy_of(gt.fixations)
     pmag, gmag = np.array(pred.mag_indices()), np.array(gt.mag_indices())
     per_level: dict[int, float] = {}
     weights: dict[int, int] = {}
@@ -164,10 +152,12 @@ def tok_sim_scan(
 def tok_sim_fix(
     pred_fix: Fixation, gt_fix: Fixation, provider: FeatureProvider, wsi_id: str
 ) -> float:
-    """Cosine similarity of the viewport tokens at the two fixations."""
+    """Cosine similarity of the viewport tokens at the two fixations, in
+    float64 as in ``tok_sim_scan`` (a zero token scores 0)."""
     pt = token_at(provider.get(wsi_id, pred_fix.mag), pred_fix.x, pred_fix.y)
     gt = token_at(provider.get(wsi_id, gt_fix.mag), gt_fix.x, gt_fix.y)
-    return _cosine(pt, gt)
+    u, v = _unit_rows(np.stack([pt, gt]))
+    return float(u @ v)
 
 
 def spatial_error(

@@ -11,7 +11,6 @@ factor).
 from __future__ import annotations
 
 import warnings
-from collections.abc import Iterable
 from dataclasses import dataclass
 
 import numpy as np
@@ -20,7 +19,7 @@ from scipy.ndimage import gaussian_filter
 from . import autodiff as ad
 from . import io, nn
 from .errors import DegenerateInputError, InvalidConfigError, InvalidInputError, ShapeError
-from .features import FeatureGrid, cell_of
+from .features import FeatureGrid, cells_of, xy_of
 from .trajectory import Fixation, MagLevel
 
 SIDECAR_KEYS = ("dim", "layers", "heads")  # what encoding with a saved model needs
@@ -44,11 +43,11 @@ class HeatmapModelConfig:
 
 
 def gaussian_map(
-    fixations: Iterable[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
+    fixations: list[Fixation], shape: tuple[int, int], wsi_w: float, wsi_h: float
 ) -> np.ndarray:
     """Gaussian-smoothed fixation map on a (rows, cols) grid, peak exactly 1.
 
-    One delta per fixation at its ``cell_of`` cell; the deltas of each
+    One delta per fixation at its ``cells_of`` cell; the deltas of each
     magnification m are blurred with sigma(m) = cols / 8 / factor(m) (one
     eighth of the map width at 1X) and the blurred maps are summed in
     first-seen magnification order, then max-normalized.  No fixations
@@ -57,17 +56,16 @@ def gaussian_map(
     rows, cols = shape
     if rows <= 0 or cols <= 0:
         raise InvalidInputError("heatmap shape must be positive")
-    deltas: dict[int, np.ndarray] = {}
-    for f in fixations:
-        cell = cell_of(f.x, f.y, rows, cols, wsi_w, wsi_h)
-        deltas.setdefault(f.mag.index, np.zeros(shape))[cell] += 1.0
+    r, c = cells_of(*xy_of(fixations), rows, cols, wsi_w, wsi_h)
+    mags = np.array([f.mag.index for f in fixations], dtype=np.intp)
     acc = np.zeros(shape)
-    if not deltas:
+    if not fixations:
         warnings.warn("no fixations; returning an all-zero map")
         return acc
-    for idx, d in deltas.items():
-        sigma = cols / 8.0 / MagLevel(idx).factor
-        acc += gaussian_filter(d, sigma=sigma, mode="constant")
+    for idx in dict.fromkeys(mags.tolist()):  # first-seen order
+        d, at = np.zeros(shape), mags == idx
+        np.add.at(d, (r[at], c[at]), 1.0)
+        acc += gaussian_filter(d, sigma=cols / 8.0 / MagLevel(idx).factor, mode="constant")
     return acc / acc.max()
 
 

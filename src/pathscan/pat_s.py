@@ -26,7 +26,8 @@ from .errors import (
     RangeError,
     ShapeError,
 )
-from .features import FeatureGrid, cell_of, token_at
+from .features import FeatureGrid, cells_of, tokens_at, xy_of
+from .features import token_at  # noqa: F401  (bench/test_bench.py asserts this binding)
 from .trajectory import MagLevel, Fixation, Scanpath
 
 TEMPORAL_CAP = 150  # matches the simplification fixation cap
@@ -72,11 +73,6 @@ def init_scanpath_params(
     return params
 
 
-def _pos_index(f2x: FeatureGrid, x: float, y: float) -> int:
-    r, c = cell_of(x, y, f2x.rows, f2x.cols, f2x.width_px, f2x.height_px)
-    return r * f2x.cols + c
-
-
 def build_memory(
     f2x: FeatureGrid,
     history: list[Fixation],
@@ -88,15 +84,16 @@ def build_memory(
 
     Temporal embeddings index fixations by recency (most recent = 1) so
     the last fixation stays directly addressable at any prefix length.
-    A fixation outside the WSI raises RangeError from ``cell_of``.
+    Each fixation reads its 10X token and its 2X position at the cells
+    ``cells_of`` places it in; one outside the WSI raises RangeError.
     """
     n_wsi = f2x.rows * f2x.cols
-    feats = f2x.flat()
-    if history:
-        feats = np.concatenate([feats, [token_at(f10x, f.x, f.y) for f in history]])
+    xs, ys = xy_of(history)
+    feats = np.concatenate([f2x.flat(), tokens_at(f10x, xs, ys)])
     raw = nn.linear(params, "inproj", feats)
 
-    pos_idx = list(range(n_wsi)) + [_pos_index(f2x, f.x, f.y) for f in history]
+    r, c = cells_of(xs, ys, f2x.rows, f2x.cols, f2x.width_px, f2x.height_px)
+    pos_idx = np.concatenate([np.arange(n_wsi), r * f2x.cols + c])
     scale_idx = [0] * n_wsi + [1] * len(history)
     n_h = len(history)
     temp_idx = [0] * n_wsi + [min(n_h - i, TEMPORAL_CAP) for i in range(n_h)]
@@ -220,10 +217,6 @@ def forward_step(
     return heat, mags
 
 
-def fixation_cell(f10x: FeatureGrid, f: Fixation) -> tuple[int, int]:
-    return cell_of(f.x, f.y, f10x.rows, f10x.cols, f10x.width_px, f10x.height_px)
-
-
 def prefix_examples(scanpaths: list[tuple[str, Scanpath]]):
     """Behavior-cloning examples: one per (scanpath, prefix length)."""
     out = []
@@ -275,8 +268,9 @@ def train_scanpath(
             wsi_id, sp, k = examples[i]
             f2x, f10x = grids[wsi_id]
             target = sp.fixations[k]
-            cell = fixation_cell(f10x, target)
-            key = (wsi_id, cell[0], cell[1], target.mag.index)
+            r, c = cells_of(*xy_of([target]), f10x.rows, f10x.cols,
+                            f10x.width_px, f10x.height_px)
+            key = (wsi_id, int(r[0]), int(c[0]), target.mag.index)
             if key not in y_cache:
                 y_cache[key] = pat_h.gaussian_map(
                     [target], (f10x.rows, f10x.cols), f10x.width_px, f10x.height_px

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 import pathscan.autodiff as ad
+from pathscan.errors import RangeError
 from pathscan.features import SyntheticFeatureProvider
 from pathscan.synth import gen_wsi, simulate_reader
 from pathscan.trajectory import SimplifyParams, simplify
@@ -32,6 +33,15 @@ def make_corpus(
             scanpaths.append(simplify(traj, SimplifyParams(wsi_width=gm.width_px)))
     provider = SyntheticFeatureProvider(maps, dim=dim, base_grid=base_grid, seed=seed)
     return maps, scanpaths, provider
+
+
+def cell_of(x, y, rows, cols, width, height):
+    """Per-point oracle for ``features.cells_of`` in plain Python: (row, col)
+    of the patch containing (x, y) on a rows x cols grid that spans
+    width x height, or RangeError for a point off the slide."""
+    if not (0 <= x < width and 0 <= y < height):
+        raise RangeError(f"({x}, {y}) outside WSI bounds")
+    return min(int(y * rows / height), rows - 1), min(int(x * cols / width), cols - 1)
 
 
 def upcast(params):

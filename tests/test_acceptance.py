@@ -25,7 +25,7 @@ from pathscan.baselines import (
     random1_scanpath,
     random2_scanpath,
 )
-from pathscan.features import FeatureGrid, SyntheticFeatureProvider, cell_of
+from pathscan.features import FeatureGrid, SyntheticFeatureProvider, cells_of, xy_of
 from pathscan.pat_h import HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
 from pathscan.synth import DEFAULT_TRANSITION_PRIOR, gen_wsi, simulate_reader
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
@@ -251,7 +251,7 @@ def test_criterion_4_metric_oracles(capsys):
                               MagLevel(3), 100.0) for _ in range(4)]
         got = mx.auc_judd(vals, fixations, 60.0, 60.0)
         mask = np.zeros((6, 6), dtype=bool)
-        for rc in mx._fixation_cells(fixations, (6, 6), 60.0, 60.0):
+        for rc in mx._fixated_cells(fixations, (6, 6), 60.0, 60.0):
             mask[rc] = True
         want = auc_pairwise_oracle(vals.ravel(), mask.ravel())
         assert got == pytest.approx(want, abs=1e-12)
@@ -406,15 +406,14 @@ def test_criterion_7_overfit_sanity(capsys):
     cfg = ps.ScanpathModelConfig(dim=16, model_dim=16, heads=2, epochs=60,
                                  lr=5e-3, seed=0)
     params, _ = ps.train_scanpath([("w", sp)], provider, cfg)
-    hits = total = 0
+    preds = []
     for k in range(1, len(sp.fixations)):
         heat_t, _ = ps.forward_step(params, cfg, f2x, f10x, sp.fixations[:k])
-        x, y = inf.next_location(heat_t.data, gm.width_px, gm.height_px)
-        pr, pc = cell_of(x, y, f10x.rows, f10x.cols, f10x.width_px, f10x.height_px)
-        tr, tc = ps.fixation_cell(f10x, sp.fixations[k])
-        hits += (abs(pr - tr) <= 1 and abs(pc - tc) <= 1)
-        total += 1
-    acc = 100.0 * hits / total
+        preds.append(inf.next_location(heat_t.data, gm.width_px, gm.height_px))
+    grid = (f10x.rows, f10x.cols, f10x.width_px, f10x.height_px)
+    pr, pc = cells_of(*np.array(preds, dtype=np.float64).T, *grid)
+    tr, tc = cells_of(*xy_of(sp.fixations[1:]), *grid)
+    acc = 100.0 * np.mean((abs(pr - tr) <= 1) & (abs(pc - tc) <= 1))
 
     # stage 1: 4x loss reduction within 50 epochs on a single WSI
     maps, sps2, provider2 = make_corpus(n_wsis=1, n_readers=1, n_samples=80,

@@ -89,6 +89,19 @@ class TestSimplify:
         assert [sp.fixations for sp in read_scanpaths(out)] == \
             [sp.fixations for sp in want]
 
+    def test_gen_simplifies_with_its_config(self, tmp_path):
+        # gen's scanpaths are simplify --params of its trajectories, same config
+        cfg = tmp_path / "g.cfg"
+        cfg.write_text("th_time = 1000\n")
+        corpus = tmp_path / "c"
+        assert run("gen", "--seed", "3", "--wsis", "1", "--readers", "1",
+                   "--samples", "200", "--config", str(cfg), "--out", str(corpus)) == 0
+        out = tmp_path / "sp.jsonl"
+        assert run("simplify", "--in", str(corpus / "trajectories.jsonl"),
+                   "--params", str(cfg), "--out", str(out)) == 0
+        want = [sp.fixations for sp in read_scanpaths(out)]
+        assert [sp.fixations for sp in read_scanpaths(corpus / "scanpaths.jsonl")] == want
+
     def test_unknown_width_is_data_error(self, corpus_dir, tmp_path):
         traj = tmp_path / "trajectories.jsonl"
         traj.write_bytes((corpus_dir / "trajectories.jsonl").read_bytes())
@@ -128,8 +141,14 @@ class TestUsageErrors:
         "--out {t}/r.svg", None),
     (3, "render --scanpath {c}/scanpaths.jsonl --grades {c}/wsi_000.grid --index -1 "
         "--out {t}/r.svg", None),
+    (2, "gen --seed -1 --wsis 1 --readers 1 --out {t}/g", None),
+    (2, "predict --ckpt {t}/s.psck --corpus {c} --wsi wsi_000 --seed -2 --out {t}/p.jsonl",
+     None),
+    (3, "gen --wsis 1 --readers 1 --samples 60 --grid 16 --config {t}/x.cfg --out {t}/g",
+     "seed = -1\n"),
 ], ids=["success", "usage", "data", "config", "numeric", "predict-n-not-int",
-        "predict-n-zero", "render-index-past-end", "render-index-negative"])
+        "predict-n-zero", "render-index-past-end", "render-index-negative",
+        "gen-seed-negative", "predict-seed-negative", "config-seed-negative"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path):
     """0 success, 2 usage, 3 data, file or configuration, 4 numeric failure."""

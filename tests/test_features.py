@@ -1,5 +1,3 @@
-from dataclasses import replace
-
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
@@ -9,10 +7,10 @@ import pathscan.metrics as mx
 import pathscan.pat_s as pat_s
 from pathscan.errors import InvalidConfigError, RangeError
 from pathscan.features import (
+    MAX_SIDE,
     FeatureGrid,
     SyntheticFeatureProvider,
     cell_centres,
-    cell_of,
     cells_of,
     embed,
     token_at,
@@ -21,6 +19,8 @@ from pathscan.features import (
 from pathscan.pat_h import gaussian_map
 from pathscan.synth import GRADE_CHARS, GradeMap, gen_wsi
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
+
+from conftest import cell_of
 from test_metrics import outcome, outside_point
 
 
@@ -80,7 +80,8 @@ class TestTokenAt:
 class TestSyntheticProvider:
     def test_resolution_scales_then_caps(self):
         maps = {"w": gen_wsi(1, 16, 16)}
-        p = SyntheticFeatureProvider(maps, dim=8, base_grid=8, max_side=32)
+        p = SyntheticFeatureProvider(maps, dim=8, base_grid=8)
+        assert MAX_SIDE == 32
         assert p.get("w", MagLevel(0)).rows == 8
         assert p.get("w", MagLevel(1)).rows == 16
         assert p.get("w", MagLevel(2)).rows == 32
@@ -146,8 +147,8 @@ class TestPatchLabels:
 
 @st.composite
 def grid_and_point(draw):
-    """A provider grid over a random grade map with rows != cols, its 1X
-    grid index-coded, the point's kind, and a point: anywhere inside the
+    """A random grade map with rows != cols, an index-coded square grid of
+    side 1..40 over it, the point's kind, and a point: anywhere inside the
     WSI, on a patch corner, at the centre, or off the slide."""
     w_g = draw(st.integers(8, 40))
     h_g = draw(st.integers(8, 39))
@@ -155,10 +156,9 @@ def grid_and_point(draw):
     cell = draw(st.sampled_from([1.0, 100.0, 256.0, 385.8]) | st.floats(1.0, 1000.0))
     rng = np.random.default_rng(draw(st.integers(0, 2**32 - 1)))
     gm = GradeMap(rng.integers(0, 5, (h_g, w_g)).astype(np.int8), cell)
-    provider = SyntheticFeatureProvider({"w": gm}, dim=8,
-                                        base_grid=draw(st.integers(1, 40)), max_side=40)
-    grid = provider.get("w", MagLevel(0))
-    grid = replace(grid, data=np.indices((grid.rows, grid.cols)).transpose(1, 2, 0))
+    side = draw(st.integers(1, 40))
+    grid = FeatureGrid(MagLevel(0), np.indices((side, side)).transpose(1, 2, 0),
+                       gm.width_px, gm.height_px)
     kind = draw(st.sampled_from(["anywhere", "corner", "centre", "off the slide"]))
     if kind == "centre":
         x, y = gm.width_px / 2.0, gm.height_px / 2.0
@@ -173,11 +173,27 @@ def grid_and_point(draw):
     return gm, grid, kind, x, y
 
 
+def memory_probe(grid):
+    """Stage-2 parameters under which ``build_memory``'s row for a history
+    fixation on the index-coded ``grid`` (as both 2X and 10X grid) is
+    (token row, token col, position index): inproj copies the token into
+    the first two columns, pos2x holds each position's index in the third,
+    and every other table is zero."""
+    config = pat_s.ScanpathModelConfig(dim=2, model_dim=3, heads=1)
+    params = pat_s.init_scanpath_params(grid.rows * grid.cols, config,
+                                        np.random.default_rng(0))
+    for p in params.values():
+        p.data[...] = 0.0
+    params["inproj.W"].data[[0, 1], [0, 1]] = 1.0
+    params["pos2x"].data[:, 2] = np.arange(grid.rows * grid.cols)
+    return params, config
+
+
 class TestOnePatchConvention:
     @settings(max_examples=300, deadline=None)
     @given(grid_and_point())
     def test_token_position_target_and_metric_cells_agree(self, case):
-        # every site places a point in the cell_of cell, or raises RangeError
+        # every site places a point in the oracle's cell, or raises RangeError
         # for a point off the slide; tokens, positions and stage-2 targets
         # read the grid's frame, metrics and stage-1 ground truth the grade map's
         gm, grid, kind, x, y = case
@@ -186,21 +202,25 @@ class TestOnePatchConvention:
         f = Fixation(x, y, MagLevel(3), 0.0)
         sp = Scanpath("w", "r", [f])
         xs, ys = np.array([x]), np.array([y])
+        params, config = memory_probe(grid)
 
         def peak(values):
             return tuple(int(i) for i in np.unravel_index(np.argmax(values), shape))
 
+        def memory_row():
+            return pat_s.build_memory(grid, [f], grid, params, config).data[-1]
+
         sites = {
-            "cell_of": lambda: cell_of(x, y, *shape, w, h),
+            "oracle": lambda: cell_of(x, y, *shape, w, h),
             "cells_of": lambda: tuple(int(a[0]) for a in cells_of(xs, ys, *shape, w, h)),
             "token_at": lambda: tuple(int(v) for v in token_at(grid, x, y)),
             "tokens_at": lambda: tuple(int(v) for v in tokens_at(grid, xs, ys)[0]),
-            "_pos_index": lambda: divmod(pat_s._pos_index(grid, x, y), grid.cols),
-            "fixation_cell": lambda: pat_s.fixation_cell(grid, f),
+            "build_memory token": lambda: tuple(int(v) for v in memory_row()[:2]),
+            "build_memory position": lambda: divmod(int(memory_row()[2]), grid.cols),
             "gaussian_map": lambda: peak(gaussian_map([f], shape, w, h)),
             "scanpath_to_heatmap":
                 lambda: peak(mx.scanpath_to_heatmap(sp, shape, w, h)),
-            "_fixation_cells": lambda: mx._fixation_cells([f], shape, w, h).pop(),
+            "_fixated_cells": lambda: mx._fixated_cells([f], shape, w, h).pop(),
         }
         got = {name: outcome(site) for name, site in sites.items()}
         grades = outcome(mx.grade_string, sp, gm)

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 import pathscan.io as pio
-from pathscan.errors import FormatError, InvalidInputError
+from pathscan.errors import FormatError, InvalidConfigError, InvalidInputError
 from pathscan.synth import gen_wsi
 from pathscan.trajectory import (
     Fixation,
@@ -114,12 +114,13 @@ class TestConfig:
         with pytest.raises(FormatError, match=":1"):
             pio.parse_config(path)
 
-    def test_seed_env_override(self, monkeypatch):
-        monkeypatch.setenv("PATHSCAN_SEED", "99")
-        assert pio.resolve_seed({"seed": 1}) == 99
-        monkeypatch.delenv("PATHSCAN_SEED")
+    def test_seed_from_config(self, monkeypatch):
+        monkeypatch.setenv("PATHSCAN_SEED", "99")  # no environment override
         assert pio.resolve_seed({"seed": 1}) == 1
         assert pio.resolve_seed({}) == 0
+        for bad in (-1, 1.5, "7", True):
+            with pytest.raises(InvalidConfigError):
+                pio.resolve_seed({"seed": bad})
 
 
 class TestManifest:

@@ -14,9 +14,11 @@ from pathscan.errors import (
     PathscanError,
     RangeError,
 )
-from pathscan.features import FeatureGrid, cell_of, token_at
+from pathscan.features import FeatureGrid, token_at
 from pathscan.synth import BACKGROUND, GRADE_CHARS, GradeMap
 from pathscan.trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
+
+from conftest import cell_of
 
 
 def fix(x, y, mag=3):
@@ -72,7 +74,7 @@ class TestAucJudd:
                          for _ in range(4)]
             got = mx.auc_judd(vals, fixations, 60.0, 60.0)
             mask = np.zeros((6, 6), dtype=bool)
-            for rc in mx._fixation_cells(fixations, (6, 6), 60.0, 60.0):
+            for rc in mx._fixated_cells(fixations, (6, 6), 60.0, 60.0):
                 mask[rc] = True
             want = auc_pairwise_oracle(vals.ravel(), mask.ravel())
             assert got == pytest.approx(want, abs=1e-12)
@@ -279,11 +281,18 @@ class TestVectorizedCells:
             want = {cell_of(f.x, f.y, rows, cols, w, h) for f in fixations}
         else:
             want = RangeError
-        assert outcome(mx._fixation_cells, fixations, (rows, cols), w, h) == want
+        assert outcome(mx._fixated_cells, fixations, (rows, cols), w, h) == want
+
+
+def cosine(u, v):
+    """Cosine of two tokens in float64; a zero token scores 0."""
+    u, v = np.asarray(u, dtype=np.float64), np.asarray(v, dtype=np.float64)
+    nu, nv = np.linalg.norm(u), np.linalg.norm(v)
+    return 0.0 if nu == 0 or nv == 0 else float(u @ v / (nu * nv))
 
 
 def tok_sim_scan_loop(pred, gt, provider, wsi_id):
-    """Per-pair ``_cosine`` loop over ``token_at`` tokens, level by level."""
+    """Per-pair ``cosine`` loop over ``token_at`` tokens, level by level."""
     per_level, weights = {}, {}
     for idx in range(len(MAG_FACTORS)):
         pf = [f for f in pred.fixations if f.mag.index == idx]
@@ -293,7 +302,7 @@ def tok_sim_scan_loop(pred, gt, provider, wsi_id):
         grid = provider.get(wsi_id, MagLevel(idx))
         ptoks = [token_at(grid, f.x, f.y) for f in pf]
         gtoks = [token_at(grid, f.x, f.y) for f in gf]
-        per_level[idx] = float(np.mean([max(mx._cosine(p, g) for g in gtoks)
+        per_level[idx] = float(np.mean([max(cosine(p, g) for g in gtoks)
                                         for p in ptoks]))
         weights[idx] = len(pf)
     if not per_level:
@@ -438,6 +447,19 @@ class TestTokSim:
         data[0, 1] = [1, 0]
         provider = toy_provider({3: self.grid(data)})
         assert mx.tok_sim_fix(fix(10, 10), fix(60, 10), provider, "w") == pytest.approx(1.0)
+
+    def test_tok_sim_fix_is_tok_sim_scan_of_one_pair(self):
+        # one cosine: a pair of fixations scores the same in both metrics
+        rng = np.random.default_rng(4)
+        data = rng.standard_normal((3, 4, 5)).astype(np.float32)
+        data[1, 2] = 0.0
+        provider = toy_provider({3: self.grid(data)})
+        points = [(10, 10), (35, 40), (60, 40), (85, 70), (60, 60)]
+        for p, g in itertools.product(points, repeat=2):
+            want = mx.tok_sim_scan(Scanpath("w", "p", [fix(*p)]),
+                                   Scanpath("w", "g", [fix(*g)]), provider, "w")[1]
+            assert mx.tok_sim_fix(fix(*p), fix(*g), provider, "w") == want
+        assert mx.tok_sim_fix(fix(60, 40), fix(10, 10), provider, "w") == 0.0
 
 
 class TestSpatialError:

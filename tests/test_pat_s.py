@@ -12,7 +12,7 @@ from pathscan.pat_h import gaussian_map
 from pathscan.pat_s import ScanpathModelConfig
 from pathscan.trajectory import Fixation, MagLevel, Scanpath
 
-from conftest import make_corpus, upcast
+from conftest import cell_of, make_corpus, upcast
 
 
 def target_map(shape, cell, mag):
@@ -175,12 +175,33 @@ class TestMemory:
         assert np.allclose(m1.data[:9], m2.data[:9])
         assert not np.allclose(m1.data[9], m2.data[9])
 
+    def test_history_rows_equal_per_point_oracle(self, rng):
+        # row of fixation i: inproj(10X token) + pos2x[2X cell] + scale +
+        # temporal (recency) + magnification, each cell from the oracle
+        config = tiny_config()
+        f2x, f10x = tiny_grids()
+        params = pat_s.init_scanpath_params(9, config, rng)
+        history = [fix(0, 0), fix(400, 300, 2), fix(300, 400, 4), fix(1199.9, 600, 1),
+                   fix(899.99, 1199.99, 5)]
+        mem = pat_s.build_memory(f2x, history, f10x, params, config).data
+        table = {k: p.data.astype(np.float64) for k, p in params.items()}
+        for i, f in enumerate(history):
+            r10, c10 = cell_of(f.x, f.y, f10x.rows, f10x.cols, 1200.0, 1200.0)
+            r2, c2 = cell_of(f.x, f.y, f2x.rows, f2x.cols, 1200.0, 1200.0)
+            want = (f10x.data[r10, c10] @ table["inproj.W"] + table["inproj.b"]
+                    + table["pos2x"][r2 * f2x.cols + c2] + table["scale_emb"][1]
+                    + table["temporal_emb"][len(history) - i]
+                    + table["mag_emb"][f.mag.index])
+            assert np.allclose(mem[9 + i], want, atol=1e-6), i
+
     def test_out_of_bounds_fixation(self, rng):
         config = tiny_config()
         f2x, f10x = tiny_grids()
         params = pat_s.init_scanpath_params(9, config, rng)
         with pytest.raises(RangeError):
             pat_s.build_memory(f2x, [fix(99_999, 0)], f10x, params, config)
+        with pytest.raises(RangeError):  # x == width, after an on-slide fixation
+            pat_s.build_memory(f2x, [fix(100, 100), fix(1200, 0)], f10x, params, config)
 
     def test_temporal_index_caps(self):
         # indices into the temporal table stay within bounds for long histories
