@@ -307,7 +307,6 @@ def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
     var = a.data.var(axis=-1, keepdims=True)
     inv = 1.0 / np.sqrt(var + eps)
     y = (a.data - mu) * inv
-    n = a.shape[-1]
 
     def backward(g):
         gy = g

@@ -9,7 +9,7 @@ import numpy as np
 
 from .errors import InvalidInputError
 from .inference import TransitionMatrix
-from .trajectory import Fixation, MagLevel, Scanpath
+from .trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
 
 
 def random1_next(
@@ -111,8 +111,6 @@ def estimate_transition_matrix(
 
 def transition_stats_csv(moves: np.ndarray) -> str:
     """CSV of (level, decrease, stay, increase) raw and row-normalized."""
-    from .trajectory import MAG_FACTORS
-
     lines = ["level,decrease,stay,increase,decrease_norm,stay_norm,increase_norm"]
     for r in range(6):
         total = moves[r].sum()

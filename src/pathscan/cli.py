@@ -21,14 +21,14 @@ from . import autodiff as ad
 from . import baselines, inference, metrics, pat_h, pat_s
 from .errors import (DegenerateInputError, InvalidInputError, NumericError,
                      PathscanError)
-from .features import BASE_GRID, FEATURE_DIM, SyntheticFeatureProvider
+from .features import CorpusConfig, SyntheticFeatureProvider
 from .io import (
     VERSION,
+    build_config,
     load_grade_map,
     parse_config,
     read_scanpaths,
     read_trajectories,
-    resolve_seed,
     save_grade_map,
     write_manifest,
     write_scanpaths,
@@ -36,7 +36,7 @@ from .io import (
     write_trajectories,
 )
 from .render import render_svg
-from .synth import gen_wsi, simulate_reader
+from .synth import MIN_GRID, MIN_SAMPLES, gen_wsi, simulate_reader
 from .trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 
 EXIT_OK = 0
@@ -46,14 +46,6 @@ EXIT_NUMERIC = 4
 
 def _load_config(path: str | None) -> dict:
     return parse_config(path) if path else {}
-
-
-def _simplify_params(cfg: dict, wsi_width: float | None) -> SimplifyParams:
-    kwargs = {"wsi_width": wsi_width}
-    for key in ("th_angle", "th_time", "th_dist", "max_fixations", "wsi_width"):
-        if key in cfg:
-            kwargs[key] = cfg[key]
-    return SimplifyParams(**kwargs)
 
 
 # ------------------------------------------------------------ corpus access
@@ -67,6 +59,7 @@ def load_corpus(corpus_dir: str):
         raise InvalidInputError(f"{corpus_dir}: missing manifest.json")
     manifest = json.loads(manifest_file.read_text())
     cfg = manifest.get("config", {})
+    corpus = build_config(CorpusConfig, cfg)
     maps = {}
     for grid_file in sorted(root.glob("*.grid")):
         maps[grid_file.stem] = load_grade_map(grid_file)
@@ -76,12 +69,7 @@ def load_corpus(corpus_dir: str):
     sp_file = root / "scanpaths.jsonl"
     if sp_file.exists():
         scanpaths = read_scanpaths(sp_file)
-    provider = SyntheticFeatureProvider(
-        maps,
-        dim=int(cfg.get("feature_dim", FEATURE_DIM)),
-        base_grid=int(cfg.get("base_grid", BASE_GRID)),
-        seed=resolve_seed(cfg),
-    )
+    provider = SyntheticFeatureProvider(maps, corpus.feature_dim, corpus.base_grid, corpus.seed)
     return maps, scanpaths, provider, cfg
 
 
@@ -95,43 +83,39 @@ def cmd_simplify(args) -> int:
     trajectories = read_trajectories(args.infile)
     scanpaths = []
     for traj in trajectories:
-        width = None
+        params = cfg
         if "wsi_width" not in cfg:
             base = Path(args.infile).parent / traj.wsi_id
             if not base.with_suffix(".grid").exists():
                 raise InvalidInputError(
                     f"no grade map {base}.grid for {traj.wsi_id} and no "
                     "wsi_width in the params: the WSI width is unknown")
-            width = load_grade_map(base).width_px
-        scanpaths.append(simplify(traj, _simplify_params(cfg, width)))
+            params = {"wsi_width": load_grade_map(base).width_px, **cfg}
+        scanpaths.append(simplify(traj, build_config(SimplifyParams, params)))
     write_scanpaths(args.out, scanpaths, config={"version": VERSION, **cfg})
     return EXIT_OK
 
 
 def cmd_gen(args) -> int:
+    """Generate the whole corpus, then write it: a bad config writes nothing."""
     out = Path(args.out)
     if out.exists() and any(out.iterdir()) and not args.force:
         print(f"error: {out} is not empty (use --force)", file=sys.stderr)
         return EXIT_DATA
-    out.mkdir(parents=True, exist_ok=True)
     cfg = _load_config(args.config)
-    seed = args.seed if args.seed is not None else resolve_seed(cfg)
+    corpus = build_config(CorpusConfig, cfg,
+                          **({} if args.seed is None else {"seed": args.seed}))
+    seed = corpus.seed
     cfg.update(
         seed=seed, wsis=args.wsis, readers=args.readers, samples=args.samples,
-        grid=args.grid, feature_dim=int(cfg.get("feature_dim", FEATURE_DIM)),
-        base_grid=int(cfg.get("base_grid", BASE_GRID)),
+        grid=args.grid, feature_dim=corpus.feature_dim, base_grid=corpus.base_grid,
     )
 
-    files = []
-    trajectories = []
-    scanpaths = []
-    for w in range(args.wsis):
-        wsi_id = f"wsi_{w:03d}"
-        gm = gen_wsi(seed + 1000 * w, args.grid, args.grid)
-        base = out / wsi_id
-        save_grade_map(base, gm)
-        files += [str(base.with_suffix(".grid")), str(base.with_suffix(".json"))]
-        params = _simplify_params(cfg, gm.width_px)
+    maps = {f"wsi_{w:03d}": gen_wsi(seed + 1000 * w, args.grid, args.grid)
+            for w in range(args.wsis)}
+    trajectories, scanpaths = [], []
+    for w, (wsi_id, gm) in enumerate(maps.items()):
+        params = build_config(SimplifyParams, {"wsi_width": gm.width_px, **cfg})
         for r in range(args.readers):
             traj = simulate_reader(
                 gm, seed + 1000 * w + r + 1, args.samples,
@@ -140,20 +124,21 @@ def cmd_gen(args) -> int:
             trajectories.append(traj)
             scanpaths.append(simplify(traj, params))
 
-    traj_file = out / "trajectories.jsonl"
-    sp_file = out / "scanpaths.jsonl"
+    out.mkdir(parents=True, exist_ok=True)
+    for wsi_id, gm in maps.items():
+        save_grade_map(out / wsi_id, gm)
+    traj_file, sp_file = out / "trajectories.jsonl", out / "scanpaths.jsonl"
     write_trajectories(traj_file, trajectories, config=cfg)
     write_scanpaths(sp_file, scanpaths, config=cfg)
-    files += [str(traj_file), str(sp_file)]
-    write_manifest(out / "manifest.json", files, cfg)
+    files = [str(out / f"{wsi_id}{ext}") for wsi_id in maps for ext in (".grid", ".json")]
+    write_manifest(out / "manifest.json", files + [str(traj_file), str(sp_file)], cfg)
     return EXIT_OK
 
 
 def cmd_train_heatmap(args) -> int:
     cfg = _load_config(args.config)
-    maps, scanpaths, provider, corpus_cfg = load_corpus(args.corpus)
-    kwargs = {k: cfg[k] for k in ("layers", "heads", "lr", "epochs") if k in cfg}
-    config = pat_h.HeatmapModelConfig(dim=provider.dim, seed=resolve_seed(cfg), **kwargs)
+    maps, scanpaths, provider, _ = load_corpus(args.corpus)
+    config = build_config(pat_h.HeatmapModelConfig, cfg, dim=provider.dim)
 
     corpus: dict[int, list] = {}
     for mag_idx in pat_h.LEVELS:
@@ -183,11 +168,8 @@ def cmd_train_heatmap(args) -> int:
 
 def cmd_train_scanpath(args) -> int:
     cfg = _load_config(args.config)
-    maps, scanpaths, provider, corpus_cfg = load_corpus(args.corpus)
-    kwargs = {k: cfg[k] for k in (
-        "model_dim", "enc_layers", "dec_layers", "heads", "lr", "epochs",
-    ) if k in cfg}
-    config = pat_s.ScanpathModelConfig(dim=provider.dim, seed=resolve_seed(cfg), **kwargs)
+    maps, scanpaths, provider, _ = load_corpus(args.corpus)
+    config = build_config(pat_s.ScanpathModelConfig, cfg, dim=provider.dim)
     stage1 = pat_h.load_heatmap_models(args.stage1) if args.stage1 else None
 
     corpus = [(sp.wsi_id, sp) for sp in scanpaths]
@@ -381,20 +363,18 @@ def _write_loss_csv(path, header_rows, rows, cfg):
         writer.writerows(rows)
 
 
+def _at_least(floor: int):
+    """An argparse type: an int >= ``floor``."""
+    def parse(text: str) -> int:
+        if not text.isdecimal() or int(text) < floor:
+            raise argparse.ArgumentTypeError(f"expected an int >= {floor}, got {text!r}")
+        return int(text)
+    return parse
+
+
 def _length(text: str):
     """``--n``: ``auto`` or a positive int."""
-    if text == "auto":
-        return text
-    if not text.isdecimal() or int(text) < 1:
-        raise argparse.ArgumentTypeError(f"expected 'auto' or a positive int, got {text!r}")
-    return int(text)
-
-
-def _seed(text: str) -> int:
-    """``--seed``: a non-negative int."""
-    if not text.isdecimal():
-        raise argparse.ArgumentTypeError(f"expected a non-negative int, got {text!r}")
-    return int(text)
+    return text if text == "auto" else _at_least(1)(text)
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -409,11 +389,11 @@ def build_parser() -> argparse.ArgumentParser:
     sp.set_defaults(func=cmd_simplify)
 
     g = sub.add_parser("gen", help="generate a synthetic corpus")
-    g.add_argument("--seed", type=_seed, default=None)
-    g.add_argument("--wsis", type=int, default=4)
-    g.add_argument("--readers", type=int, default=2)
-    g.add_argument("--samples", type=int, default=400)
-    g.add_argument("--grid", type=int, default=32)
+    g.add_argument("--seed", type=_at_least(0), default=None)
+    g.add_argument("--wsis", type=_at_least(1), default=4)
+    g.add_argument("--readers", type=_at_least(1), default=2)
+    g.add_argument("--samples", type=_at_least(MIN_SAMPLES), default=400)
+    g.add_argument("--grid", type=_at_least(MIN_GRID), default=32)
     g.add_argument("--out", required=True)
     g.add_argument("--config")
     g.add_argument("--force", action="store_true")
@@ -438,7 +418,7 @@ def build_parser() -> argparse.ArgumentParser:
     pr.add_argument("--wsi", required=True)
     pr.add_argument("--mode", choices=("probmag", "priormag"), default="probmag")
     pr.add_argument("--n", type=_length, default="auto")
-    pr.add_argument("--seed", type=_seed, default=0)
+    pr.add_argument("--seed", type=_at_least(0), default=0)
     pr.add_argument("--out", required=True)
     pr.set_defaults(func=cmd_predict)
 

@@ -16,9 +16,26 @@ from .errors import InvalidConfigError, RangeError
 from .synth import GradeMap
 from .trajectory import Fixation, MagLevel
 
-FEATURE_DIM = 32  # token dim of a corpus whose config sets no feature_dim
-BASE_GRID = 8  # 1X grid side of a corpus whose config sets no base_grid
+MIN_DIM = 8  # smallest token dim
 MAX_SIDE = 32  # grid side cap at every magnification
+
+
+@dataclass
+class CorpusConfig:
+    """The corpus keys of ``gen``'s config, kept in the corpus manifest:
+    the featurizer's seed, token dim and 1X grid side."""
+
+    seed: int = 0
+    feature_dim: int = 32
+    base_grid: int = 8
+
+    def __post_init__(self):
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
+        if self.feature_dim < MIN_DIM:
+            raise InvalidConfigError(f"feature_dim must be >= {MIN_DIM}, got {self.feature_dim}")
+        if self.base_grid < 1:
+            raise InvalidConfigError(f"base_grid must be >= 1, got {self.base_grid}")
 
 
 @dataclass
@@ -52,8 +69,8 @@ class FeatureGrid:
 
 def embed(histograms: np.ndarray, dim: int, seed: int) -> np.ndarray:
     """Seeded random projection (5 -> dim) followed by unit-norm rows."""
-    if dim < 8:
-        raise InvalidConfigError("embedding dim must be >= 8")
+    if dim < MIN_DIM:
+        raise InvalidConfigError(f"embedding dim must be >= {MIN_DIM}")
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal((histograms.shape[-1], dim))
     tokens = histograms @ proj
@@ -129,12 +146,10 @@ class SyntheticFeatureProvider(FeatureProvider):
     def __init__(
         self,
         grade_maps: dict[str, GradeMap],
-        dim: int = FEATURE_DIM,
-        base_grid: int = BASE_GRID,
+        dim: int = CorpusConfig.feature_dim,
+        base_grid: int = CorpusConfig.base_grid,
         seed: int = 0,
     ):
-        if dim < 8:
-            raise InvalidConfigError("embedding dim must be >= 8")
         self.grade_maps = grade_maps
         self.dim = dim
         self.base_grid = base_grid

@@ -9,6 +9,7 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import typing
 from pathlib import Path
 
 from .errors import FormatError, InvalidConfigError, InvalidInputError
@@ -169,13 +170,22 @@ def _parse_value(text: str):
     return text.strip("\"'")
 
 
-def resolve_seed(config: dict) -> int:
-    """The config's ``seed``, 0 if it sets none; anything but a
-    non-negative int raises InvalidConfigError."""
-    seed = config.get("seed", 0)
-    if type(seed) is not int or seed < 0:
-        raise InvalidConfigError(f"seed must be a non-negative int, got {seed!r}")
-    return seed
+# the value types a config field of each annotation takes; a bool is no int
+_ADMITS = {int: (int,), float: (int, float), float | None: (int, float)}
+
+
+def build_config(cls, cfg: dict, **fixed):
+    """Config dataclass ``cls`` with the ``fixed`` fields as given and each
+    other field from ``parse_config``'s dict ``cfg`` or else its default;
+    other keys are ignored. A value of a type that ``_ADMITS`` does not
+    list for its field raises InvalidConfigError; ``cls`` checks ranges."""
+    hints = typing.get_type_hints(cls)
+    for key in [k for k in hints if k in cfg and k not in fixed]:
+        if type(cfg[key]) not in _ADMITS[hints[key]]:
+            raise InvalidConfigError(f"config key {key} must be " + " or ".join(
+                t.__name__ for t in _ADMITS[hints[key]]) + f", got {cfg[key]!r}")
+        fixed[key] = cfg[key]
+    return cls(**fixed)
 
 
 def file_sha256(path) -> str:

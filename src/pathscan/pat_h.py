@@ -36,10 +36,17 @@ class HeatmapModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.dim % self.heads != 0:
-            raise InvalidConfigError("dim must be divisible by heads")
+        if self.heads < 1 or self.dim % self.heads != 0:
+            raise InvalidConfigError(
+                f"heads must be >= 1 and divide dim {self.dim}, got {self.heads}")
         if self.layers < 0:
             raise InvalidConfigError("layers must be >= 0")
+        if not self.lr > 0:
+            raise InvalidConfigError(f"lr must be positive, got {self.lr}")
+        if self.epochs < 1:
+            raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def gaussian_map(

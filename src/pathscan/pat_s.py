@@ -47,8 +47,20 @@ class ScanpathModelConfig:
     seed: int = 0
 
     def __post_init__(self):
-        if self.model_dim % self.heads != 0:
-            raise InvalidConfigError("model_dim must be divisible by heads")
+        if self.model_dim < 1 or self.heads < 1 or self.model_dim % self.heads != 0:
+            raise InvalidConfigError(
+                "model_dim and heads must be >= 1 and heads divide model_dim, "
+                f"got model_dim {self.model_dim}, heads {self.heads}")
+        if self.enc_layers < 0 or self.dec_layers < 0:
+            raise InvalidConfigError(
+                "enc_layers and dec_layers must be >= 0, "
+                f"got {self.enc_layers}, {self.dec_layers}")
+        if not self.lr > 0:
+            raise InvalidConfigError(f"lr must be positive, got {self.lr}")
+        if self.epochs < 1:
+            raise InvalidConfigError(f"epochs must be >= 1, got {self.epochs}")
+        if self.seed < 0:
+            raise InvalidConfigError(f"seed must be >= 0, got {self.seed}")
 
 
 def init_scanpath_params(

@@ -20,6 +20,8 @@ from .trajectory import MagLevel, RawTrajectory, ViewportSample
 BACKGROUND, BENIGN, G3, G4, G5 = range(5)
 GRADE_NAMES = ("Background", "Benign", "G3", "G4", "G5")
 GRADE_CHARS = ".B345"
+MIN_GRID = 8  # smallest grade-map side, in cells
+MIN_SAMPLES = 10  # shortest simulated trajectory
 
 
 @dataclass
@@ -29,8 +31,8 @@ class GradeMap:
 
     def __post_init__(self):
         h, w = self.grid.shape
-        if h < 8 or w < 8:
-            raise InvalidConfigError("grade map must be at least 8x8 cells")
+        if h < MIN_GRID or w < MIN_GRID:
+            raise InvalidConfigError(f"grade map must be at least {MIN_GRID}x{MIN_GRID} cells")
 
     @property
     def height_px(self) -> float:
@@ -80,8 +82,8 @@ def gen_wsi(
     Each requested grade gets one connected region grown by a seeded
     random walk; the one-cell border stays Background.
     """
-    if h_g < 8 or w_g < 8:
-        raise InvalidConfigError("grade map dimensions must be >= 8")
+    if h_g < MIN_GRID or w_g < MIN_GRID:
+        raise InvalidConfigError(f"grade map dimensions must be >= {MIN_GRID}")
     mix = dict(DEFAULT_GRADE_MIX if grade_mix is None else grade_mix)
     total = sum(mix.values())
     if total <= 0 or any(v < 0 for v in mix.values()):
@@ -145,8 +147,8 @@ def simulate_reader(
     more than one index) and a location from the tissue cells, weighted
     toward higher grades by ``drill_bias``.
     """
-    if n_samples < 10:
-        raise InvalidInputError("n_samples must be >= 10")
+    if n_samples < MIN_SAMPLES:
+        raise InvalidInputError(f"n_samples must be >= {MIN_SAMPLES}")
     rng = np.random.default_rng(seed)
 
     tissue = np.argwhere(wsi.grid != BACKGROUND)

@@ -1,7 +1,10 @@
 import csv
+import dataclasses
 import json
 import shutil
+import typing
 import xml.etree.ElementTree as ET
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -11,8 +14,9 @@ import pathscan.cli as cli
 import pathscan.inference as inference
 import pathscan.pat_h as pat_h
 import pathscan.pat_s as pat_s
+from pathscan.features import CorpusConfig
 from pathscan.io import file_sha256, load_grade_map, read_scanpaths, write_scanpaths
-from pathscan.trajectory import Fixation, MagLevel, Scanpath
+from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams
 
 
 def run(*argv):
@@ -125,6 +129,12 @@ class TestUsageErrors:
         assert e.value.code == 2
 
 
+GEN_CFG = "gen --wsis 1 --readers 1 --samples 60 --grid 16 --config {t}/x.cfg --out {t}/g"
+SIMPLIFY_CFG = "simplify --in {c}/trajectories.jsonl --params {t}/x.cfg --out {t}/s.jsonl"
+TRAIN_H = "train-heatmap --corpus {c} --config {t}/x.cfg --out {t}/h.psck"
+TRAIN_S = "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck"
+
+
 @pytest.mark.parametrize("want, argv, cfg", [
     (0, "stats-mag --scanpaths {c}/scanpaths.jsonl --out {t}/o.csv", None),
     (2, "frobnicate", None),
@@ -144,14 +154,33 @@ class TestUsageErrors:
     (2, "gen --seed -1 --wsis 1 --readers 1 --out {t}/g", None),
     (2, "predict --ckpt {t}/s.psck --corpus {c} --wsi wsi_000 --seed -2 --out {t}/p.jsonl",
      None),
-    (3, "gen --wsis 1 --readers 1 --samples 60 --grid 16 --config {t}/x.cfg --out {t}/g",
-     "seed = -1\n"),
+    (3, GEN_CFG, "seed = -1\n"),
+    *[(3, SIMPLIFY_CFG, cfg) for cfg in (
+        "th_time = abc\n", "th_dist = none\n", "max_fixations = 2.5\n")],
+    *[(3, GEN_CFG, cfg) for cfg in (
+        "th_time = abc\n", "feature_dim = abc\n", "feature_dim = 16.7\n",
+        "feature_dim = 4\n", "base_grid = 0\n")],
+    *[(3, TRAIN_H, cfg) for cfg in ("epochs = abc\n", "epochs = true\n", "heads = 0\n")],
+    *[(3, TRAIN_S, cfg) for cfg in (
+        "epochs = 2.5\n", "lr = fast\n", "epochs = -1\n", "enc_layers = -2\n",
+        "lr = -0.5\n", "model_dim = 0\n")],
+    *[(2, f"gen {flag} --out {{t}}/g", None) for flag in (
+        "--wsis -3", "--readers 0", "--samples 5", "--grid 4")],
 ], ids=["success", "usage", "data", "config", "numeric", "predict-n-not-int",
         "predict-n-zero", "render-index-past-end", "render-index-negative",
-        "gen-seed-negative", "predict-seed-negative", "config-seed-negative"])
+        "gen-seed-negative", "predict-seed-negative", "config-seed-negative",
+        "simplify-th-time-not-number", "simplify-th-dist-none",
+        "simplify-max-fixations-float", "gen-th-time-not-number",
+        "gen-feature-dim-not-number", "gen-feature-dim-float", "gen-feature-dim-4",
+        "gen-base-grid-0", "heatmap-epochs-not-number", "heatmap-epochs-bool",
+        "heatmap-heads-0", "scanpath-epochs-float", "scanpath-lr-not-number",
+        "scanpath-epochs-negative", "scanpath-enc-layers-negative",
+        "scanpath-lr-negative", "scanpath-model-dim-0", "gen-wsis-negative",
+        "gen-readers-0", "gen-samples-below-floor", "gen-grid-below-floor"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
-def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path):
-    """0 success, 2 usage, 3 data, file or configuration, 4 numeric failure."""
+def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path, capsys):
+    """0 success, 2 usage, 3 data, file or configuration, 4 numeric failure;
+    a failed gen leaves no file in --out."""
     if cfg is not None:
         (tmp_path / "x.cfg").write_text(cfg)
     try:
@@ -159,6 +188,31 @@ def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path):
     except SystemExit as e:
         code = e.code
     assert code == want
+    if want:
+        assert "error:" in capsys.readouterr().err
+    if want and argv.startswith("gen"):
+        assert not [p for p in (tmp_path / "g").glob("**/*") if p.is_file()]
+
+
+def test_readme_config_table_matches_the_config_dataclasses():
+    """README's "Config files" table lists each command's file keys, the
+    fields of its config dataclasses less ``dim``, with each field's type."""
+    def keys(*classes):
+        return {f.name: "int" if typing.get_type_hints(cls)[f.name] is int else "float"
+                for cls in classes for f in dataclasses.fields(cls) if f.name != "dim"}
+
+    want = {"gen": keys(CorpusConfig, SimplifyParams), "simplify": keys(SimplifyParams),
+            "train-heatmap": keys(pat_h.HeatmapModelConfig),
+            "train-scanpath": keys(pat_s.ScanpathModelConfig)}
+    readme = (Path(__file__).parent.parent / "README.md").read_text()
+    section = readme.split("## Config files", 1)[1].split("\n## ", 1)[0]
+    got: dict[str, dict[str, str]] = {}
+    for line in section.splitlines():
+        if line.startswith("| `"):
+            commands, key, type_ = [cell.strip() for cell in line.split("|")[1:4]]
+            for command in commands.replace("`", "").split(", "):
+                got.setdefault(command, {})[key.strip("`")] = type_
+    assert got == want
 
 
 class TestTrainPredictEval:

@@ -5,12 +5,16 @@ import pytest
 
 import pathscan.io as pio
 from pathscan.errors import FormatError, InvalidConfigError, InvalidInputError
+from pathscan.features import CorpusConfig
+from pathscan.pat_h import HeatmapModelConfig
+from pathscan.pat_s import ScanpathModelConfig
 from pathscan.synth import gen_wsi
 from pathscan.trajectory import (
     Fixation,
     MagLevel,
     RawTrajectory,
     Scanpath,
+    SimplifyParams,
     ViewportSample,
 )
 
@@ -116,11 +120,31 @@ class TestConfig:
 
     def test_seed_from_config(self, monkeypatch):
         monkeypatch.setenv("PATHSCAN_SEED", "99")  # no environment override
-        assert pio.resolve_seed({"seed": 1}) == 1
-        assert pio.resolve_seed({}) == 0
-        for bad in (-1, 1.5, "7", True):
-            with pytest.raises(InvalidConfigError):
-                pio.resolve_seed({"seed": bad})
+        for cls in (CorpusConfig, HeatmapModelConfig, ScanpathModelConfig):
+            assert pio.build_config(cls, {"seed": 1}).seed == 1
+            assert pio.build_config(cls, {}).seed == 0
+            for bad in (-1, 1.5, "7", True):
+                with pytest.raises(InvalidConfigError):
+                    pio.build_config(cls, {"seed": bad})
+
+    def test_build_config_reads_field_keys_only(self):
+        cfg = {"epochs": 3, "lr": 2, "dim": 99, "name": "run1"}
+        config = pio.build_config(HeatmapModelConfig, cfg, dim=16)
+        assert (config.dim, config.epochs, config.lr) == (16, 3, 2)
+        params = pio.build_config(SimplifyParams, {"wsi_width": 512, "th_dist": 9.5})
+        assert (params.wsi_width, params.th_dist) == (512, 9.5)
+
+    @pytest.mark.parametrize("cls, key, bad", [
+        (HeatmapModelConfig, "epochs", True),
+        (HeatmapModelConfig, "epochs", 2.5),
+        (HeatmapModelConfig, "lr", "fast"),
+        (CorpusConfig, "feature_dim", 16.7),
+        (SimplifyParams, "th_dist", "none"),
+        (SimplifyParams, "th_time", True),
+    ])
+    def test_build_config_rejects_wrong_types(self, cls, key, bad):
+        with pytest.raises(InvalidConfigError, match=key):
+            pio.build_config(cls, {"wsi_width": 512.0, key: bad})
 
 
 class TestManifest:
