@@ -109,14 +109,14 @@ def estimate_transition_matrix(
     return TransitionMatrix(probs), moves
 
 
-def transition_stats_csv(moves: np.ndarray) -> str:
-    """CSV of (level, decrease, stay, increase) raw and row-normalized."""
-    lines = ["level,decrease,stay,increase,decrease_norm,stay_norm,increase_norm"]
+def transition_stats_csv(moves: np.ndarray) -> list[tuple]:
+    """CSV rows of (level, decrease, stay, increase) raw and row-normalized:
+    the header, then one row per level."""
+    rows: list[tuple] = [("level", "decrease", "stay", "increase",
+                          "decrease_norm", "stay_norm", "increase_norm")]
     for r in range(6):
         total = moves[r].sum()
         norm = moves[r] / total if total else np.zeros(3)
-        lines.append(
-            f"{MAG_FACTORS[r]}X,{moves[r][0]},{moves[r][1]},{moves[r][2]},"
-            f"{norm[0]:.6f},{norm[1]:.6f},{norm[2]:.6f}"
-        )
-    return "\n".join(lines) + "\n"
+        rows.append((f"{MAG_FACTORS[r]}X", *(int(m) for m in moves[r]),
+                     *(f"{v:.6f}" for v in norm)))
+    return rows

@@ -13,6 +13,7 @@ import argparse
 import csv
 import json
 import sys
+from dataclasses import replace
 from pathlib import Path
 
 import numpy as np
@@ -52,25 +53,29 @@ def _load_config(path: str | None) -> dict:
 
 
 def load_corpus(corpus_dir: str):
-    """Grade maps, scanpaths, provider and config from a generated corpus."""
+    """Grade maps, scanpaths, provider and config from a generated corpus.
+
+    The grade maps are those whose ``.grid`` files the manifest lists; a
+    map that is missing, or a manifest without a ``files`` list, raises."""
     root = Path(corpus_dir)
     manifest_file = root / "manifest.json"
     if not manifest_file.exists():
         raise InvalidInputError(f"{corpus_dir}: missing manifest.json")
-    manifest = json.loads(manifest_file.read_text())
-    cfg = manifest.get("config", {})
+    try:
+        manifest = json.loads(manifest_file.read_text())
+        cfg = manifest.get("config", {})
+        grids = sorted(Path(entry["file"]) for entry in manifest["files"])
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
+        raise InvalidInputError(f"{manifest_file}: malformed manifest: {e!r}") from None
     corpus = build_config(CorpusConfig, cfg)
-    maps = {}
-    for grid_file in sorted(root.glob("*.grid")):
-        maps[grid_file.stem] = load_grade_map(grid_file)
+    maps = {g.stem: load_grade_map(root / g) for g in grids if g.suffix == ".grid"}
     if not maps:
         raise InvalidInputError(f"{corpus_dir}: no grade maps")
     scanpaths = []
     sp_file = root / "scanpaths.jsonl"
     if sp_file.exists():
         scanpaths = read_scanpaths(sp_file)
-    provider = SyntheticFeatureProvider(maps, corpus.feature_dim, corpus.base_grid, corpus.seed)
-    return maps, scanpaths, provider, cfg
+    return maps, scanpaths, SyntheticFeatureProvider(maps, corpus), cfg
 
 
 # ------------------------------------------------------------------ commands
@@ -78,21 +83,23 @@ def load_corpus(corpus_dir: str):
 
 def cmd_simplify(args) -> int:
     """Simplify each trajectory with its WSI's width: ``wsi_width`` from the
-    params file, else the width of ``<wsi_id>.grid`` next to the input."""
+    params file, else the width of ``<wsi_id>.grid`` next to the input. The
+    params are checked before any trajectory is read."""
     cfg = _load_config(args.config)
-    trajectories = read_trajectories(args.infile)
+    # any width stands in until each WSI's own is known
+    params = build_config(SimplifyParams, {"wsi_width": 1.0, **cfg})
     scanpaths = []
-    for traj in trajectories:
-        params = cfg
+    for traj in read_trajectories(args.infile):
+        wsi_params = params
         if "wsi_width" not in cfg:
             base = Path(args.infile).parent / traj.wsi_id
             if not base.with_suffix(".grid").exists():
                 raise InvalidInputError(
                     f"no grade map {base}.grid for {traj.wsi_id} and no "
                     "wsi_width in the params: the WSI width is unknown")
-            params = {"wsi_width": load_grade_map(base).width_px, **cfg}
-        scanpaths.append(simplify(traj, build_config(SimplifyParams, params)))
-    write_scanpaths(args.out, scanpaths, config={"version": VERSION, **cfg})
+            wsi_params = replace(params, wsi_width=load_grade_map(base).width_px)
+        scanpaths.append(simplify(traj, wsi_params))
+    write_scanpaths(args.out, scanpaths, config=cfg)
     return EXIT_OK
 
 
@@ -158,11 +165,10 @@ def cmd_train_heatmap(args) -> int:
 
     models, curves = pat_h.train_heatmap(corpus, config)
     pat_h.save_heatmap_models(args.out, models)
-    write_sidecar(args.out, cfg, config, pat_h.SIDECAR_KEYS)
-    _write_loss_csv(Path(args.out).with_suffix(".loss.csv"),
-                    [("mag_index", "epoch", "loss")],
-                    [(m, e, loss) for m, c in curves.items()
-                     for e, loss in enumerate(c)], cfg)
+    write_sidecar(args.out, config)
+    _write_csv(Path(args.out).with_suffix(".loss.csv"), ("mag_index", "epoch", "loss"),
+               [(m, e, loss) for m, c in curves.items() for e, loss in enumerate(c)],
+               f" config={json.dumps(cfg)}")
     return EXIT_OK
 
 
@@ -177,9 +183,10 @@ def cmd_train_scanpath(args) -> int:
     if any(not np.isfinite(row[3]) for row in log):
         raise NumericError("training loss became non-finite")
     ad.save_checkpoint(args.out, params)
-    write_sidecar(args.out, cfg, config, pat_s.SIDECAR_KEYS, stage1=args.stage1)
-    _write_loss_csv(Path(args.out).with_suffix(".loss.csv"),
-                    [("epoch", "loss_fix", "loss_mag", "loss_total")], log, cfg)
+    write_sidecar(args.out, config, stage1=args.stage1)
+    _write_csv(Path(args.out).with_suffix(".loss.csv"),
+               ("epoch", "loss_fix", "loss_mag", "loss_total"), log,
+               f" config={json.dumps(cfg)}")
     return EXIT_OK
 
 
@@ -266,7 +273,7 @@ def cmd_eval_next(args) -> int:
     rows.append(("mag_change_accuracy_overall", change_acc))
     for level, acc in per_change.items():
         rows.append((f"mag_change_accuracy_{MagLevel(level).factor}X", acc))
-    _write_report(args.report, ("metric", "value"), rows)
+    _write_csv(args.report, ("metric", "value"), rows)
     return EXIT_OK
 
 
@@ -314,7 +321,7 @@ def cmd_eval_scanpath(args) -> int:
           + f"; absent: tok_sim_scan {absent[0]}, sss {absent[1]}", file=sys.stderr)
     if not rows:
         raise InvalidInputError("no (pred, gt) pairs share a WSI")
-    _write_report(args.report, ("wsi", "nss", "auc", "tok_sim_scan", "sss"), rows)
+    _write_csv(args.report, ("wsi", "nss", "auc", "tok_sim_scan", "sss"), rows)
     return EXIT_OK
 
 
@@ -323,9 +330,8 @@ def cmd_stats_mag(args) -> int:
     if not scanpaths:
         raise InvalidInputError(f"{args.scanpaths}: no scanpaths")
     _, moves = baselines.estimate_transition_matrix(scanpaths)
-    Path(args.out).write_text(
-        f"# pathscan {VERSION}\n" + baselines.transition_stats_csv(moves)
-    )
+    header, *rows = baselines.transition_stats_csv(moves)
+    _write_csv(args.out, header, rows)
     return EXIT_OK
 
 
@@ -346,20 +352,13 @@ def cmd_render(args) -> int:
 # -------------------------------------------------------------------- helpers
 
 
-def _write_report(path, header, rows):
+def _write_csv(path, header, rows, note=""):
+    """A ``# pathscan <version><note>`` comment line, then the ``header``
+    and ``rows`` as CSV; every line ends with ``\\n``."""
     with open(path, "w", newline="") as fh:
-        fh.write(f"# pathscan {VERSION}\n")
-        writer = csv.writer(fh)
+        fh.write(f"# pathscan {VERSION}{note}\n")
+        writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
-        writer.writerows(rows)
-
-
-def _write_loss_csv(path, header_rows, rows, cfg):
-    with open(path, "w", newline="") as fh:
-        fh.write(f"# pathscan {VERSION} config={json.dumps(cfg)}\n")
-        writer = csv.writer(fh)
-        for header in header_rows:
-            writer.writerow(header)
         writer.writerows(rows)
 
 

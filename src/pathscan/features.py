@@ -69,8 +69,6 @@ class FeatureGrid:
 
 def embed(histograms: np.ndarray, dim: int, seed: int) -> np.ndarray:
     """Seeded random projection (5 -> dim) followed by unit-norm rows."""
-    if dim < MIN_DIM:
-        raise InvalidConfigError(f"embedding dim must be >= {MIN_DIM}")
     rng = np.random.default_rng(seed)
     proj = rng.standard_normal((histograms.shape[-1], dim))
     tokens = histograms @ proj
@@ -136,24 +134,18 @@ class FeatureProvider:
 class SyntheticFeatureProvider(FeatureProvider):
     """Deterministic featurizer over synthetic grade maps.
 
-    Grid resolution scales with the magnification factor (base_grid per
-    side at 1X), capped at ``MAX_SIDE`` per side so self-attention over a
-    grid stays tractable at high magnifications.  One projection matrix
-    is shared across all grids so equal histograms map to equal tokens
+    Grid resolution scales with the magnification factor (the corpus's
+    base_grid per side at 1X), capped at ``MAX_SIDE`` per side so
+    self-attention over a grid stays tractable at high magnifications.
+    One projection matrix (the corpus's seed, feature_dim tokens) is
+    shared across all grids so equal histograms map to equal tokens
     everywhere.
     """
 
-    def __init__(
-        self,
-        grade_maps: dict[str, GradeMap],
-        dim: int = CorpusConfig.feature_dim,
-        base_grid: int = CorpusConfig.base_grid,
-        seed: int = 0,
-    ):
+    def __init__(self, grade_maps: dict[str, GradeMap], corpus: CorpusConfig):
         self.grade_maps = grade_maps
-        self.dim = dim
-        self.base_grid = base_grid
-        self.seed = seed
+        self.corpus = corpus
+        self.dim = corpus.feature_dim
         self._cache: dict[tuple[str, int], FeatureGrid] = {}
 
     def get(self, wsi_id: str, mag: MagLevel) -> FeatureGrid:
@@ -164,9 +156,9 @@ class SyntheticFeatureProvider(FeatureProvider):
 
     def _build(self, wsi_id: str, mag: MagLevel) -> FeatureGrid:
         gm = self.grade_maps[wsi_id]
-        side = min(self.base_grid * mag.factor, MAX_SIDE)
+        side = min(self.corpus.base_grid * mag.factor, MAX_SIDE)
         hist = self._histograms(gm, side)
-        tokens = embed(hist, self.dim, self.seed)
+        tokens = embed(hist, self.dim, self.corpus.seed)
         return FeatureGrid(mag, tokens, gm.width_px, gm.height_px)
 
     @staticmethod

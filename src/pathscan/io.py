@@ -6,6 +6,7 @@ configuration) so outputs are self-describing.
 
 from __future__ import annotations
 
+import dataclasses
 import hashlib
 import json
 import os
@@ -196,14 +197,13 @@ def file_sha256(path) -> str:
     return h.hexdigest()
 
 
-def write_sidecar(ckpt, cfg: dict, config, keys: tuple[str, ...], stage1=None):
-    """``<ckpt>.json``: the tool version, and the config file's values
-    ``cfg`` updated with the ``keys`` fields of the model's ``config``. A
-    stage-2 model trained on stage-1 features also names its stage-1
-    checkpoint, relative to ``ckpt``'s directory, and the sha256 of that
-    file and of its own sidecar, which holds the stage-1 config."""
-    rec = {"version": VERSION,
-           "config": {**cfg, **{k: getattr(config, k) for k in keys}}}
+def write_sidecar(ckpt, config, stage1=None):
+    """``<ckpt>.json``: the tool version and every field of the model's
+    ``config`` dataclass. A stage-2 model trained on stage-1 features also
+    names its stage-1 checkpoint, relative to ``ckpt``'s directory, and the
+    sha256 of that file and of its own sidecar, which holds the stage-1
+    config."""
+    rec = {"version": VERSION, "config": dataclasses.asdict(config)}
     if stage1 is not None:
         rec["stage1"] = {"file": os.path.relpath(stage1, Path(ckpt).parent),
                          "sha256": file_sha256(stage1),
@@ -211,19 +211,22 @@ def write_sidecar(ckpt, cfg: dict, config, keys: tuple[str, ...], stage1=None):
     Path(str(ckpt) + ".json").write_text(json.dumps(rec))
 
 
-def read_sidecar(ckpt, keys: tuple[str, ...]) -> tuple[dict, tuple | None]:
-    """The int ``keys`` of ``<ckpt>.json``'s config, and the stage-1
-    checkpoint's (path, sha256, sidecar sha256) if the sidecar names one."""
+def read_sidecar(ckpt, cls) -> tuple:
+    """``<ckpt>.json``'s config as ``build_config`` makes a ``cls`` of it,
+    and the stage-1 checkpoint's (path, sha256, sidecar sha256) if the
+    sidecar names one. A value ``build_config`` rejects raises
+    InvalidConfigError naming the sidecar."""
     sidecar = Path(str(ckpt) + ".json")
     try:
         rec = json.loads(sidecar.read_text())
-        config = {k: int(rec["config"][k]) for k in keys}
         ref = rec.get("stage1")
         stage1 = ref and (Path(ckpt).parent / ref["file"], str(ref["sha256"]),
                           str(ref["sidecar_sha256"]))
-    except (ValueError, KeyError, TypeError) as e:
+        return build_config(cls, rec["config"]), stage1
+    except InvalidConfigError as e:
+        raise InvalidConfigError(f"{sidecar}: {e}") from None
+    except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise FormatError(f"{sidecar}: malformed sidecar: {e!r}") from None
-    return config, stage1
 
 
 def write_manifest(path, files: list[str], config: dict):

@@ -9,7 +9,6 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
-from .errors import InvalidConfigError
 
 
 def init_param(params: dict, name: str, shape: tuple[int, ...],
@@ -40,8 +39,6 @@ def attention(params: dict, prefix: str, q_in: ad.Tensor, kv_in: ad.Tensor,
               heads: int) -> ad.Tensor:
     """Multi-head attention; self-attention when q_in is kv_in."""
     dim = q_in.shape[-1]
-    if dim % heads != 0:
-        raise InvalidConfigError("model dim must be divisible by heads")
     dh = dim // heads
     m, n = q_in.shape[0], kv_in.shape[0]
 

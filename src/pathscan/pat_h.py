@@ -22,7 +22,6 @@ from .errors import DegenerateInputError, InvalidConfigError, InvalidInputError,
 from .features import FeatureGrid, cells_of, xy_of
 from .trajectory import Fixation, MagLevel
 
-SIDECAR_KEYS = ("dim", "layers", "heads")  # what encoding with a saved model needs
 LEVELS = (1, 2, 3, 4)  # the magnifications train-heatmap models: 2X, 4X, 10X, 20X
 
 
@@ -192,12 +191,11 @@ def save_heatmap_models(path, models: dict[int, dict[str, ad.Tensor]]):
 
 def load_heatmap_models(
     path,
-) -> tuple[dict[int, dict[str, np.ndarray]], HeatmapModelConfig]:
+) -> tuple[dict[int, dict[str, ad.Tensor]], HeatmapModelConfig]:
     """Per-level parameters and the config recorded in ``<path>.json``."""
-    config = HeatmapModelConfig(**io.read_sidecar(path, SIDECAR_KEYS)[0])
-    out: dict[int, dict[str, np.ndarray]] = {}
+    config = io.read_sidecar(path, HeatmapModelConfig)[0]
+    out: dict[int, dict[str, ad.Tensor]] = {}
     for key, arr in ad.load_checkpoint(path).items():
         prefix, rest = key.split(".", 1)
-        out.setdefault(int(prefix[1:]), {})[rest] = arr
+        out.setdefault(int(prefix[1:]), {})[rest] = ad.Tensor(arr)
     return out, config
-

@@ -32,7 +32,6 @@ from .trajectory import MagLevel, Fixation, Scanpath
 
 TEMPORAL_CAP = 150  # matches the simplification fixation cap
 FOCAL_GAMMA, FOCAL_BETA = 2.0, 4.0  # focal-loss exponents
-SIDECAR_KEYS = ("dim", "model_dim", "enc_layers", "dec_layers", "heads")
 
 
 @dataclass
@@ -313,8 +312,7 @@ def stage2_grids(provider, wsi_id: str, stage1) -> tuple[FeatureGrid, FeatureGri
     for mag in (MagLevel(1), MagLevel(3)):
         grid = provider.get(wsi_id, mag)
         if mag.index in models:
-            s1_params = {k: ad.Tensor(v) for k, v in models[mag.index].items()}
-            z = pat_h.encode(grid, s1_params, s1_config).data
+            z = pat_h.encode(grid, models[mag.index], s1_config).data
             data = z.reshape(grid.rows, grid.cols, grid.dim).astype(np.float32)
             grid = FeatureGrid(mag, data, grid.width_px, grid.height_px)
         out.append(grid)
@@ -330,7 +328,7 @@ def load_scanpath_model(
     A stage-1 file or stage-1 sidecar that is missing, or whose sha256 is
     not the one the sidecar recorded, raises InvalidInputError.
     """
-    config, ref = io.read_sidecar(ckpt, SIDECAR_KEYS)
+    config, ref = io.read_sidecar(ckpt, ScanpathModelConfig)
     params = {k: ad.Tensor(v) for k, v in ad.load_checkpoint(ckpt).items()}
     stage1 = None
     if ref:
@@ -340,4 +338,4 @@ def load_scanpath_model(
                 raise InvalidInputError(
                     f"{ckpt}: stage-1 file {file} is missing or changed")
         stage1 = pat_h.load_heatmap_models(path)
-    return params, ScanpathModelConfig(**config), stage1
+    return params, config, stage1

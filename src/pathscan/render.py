@@ -16,14 +16,13 @@ GRADE_COLORS = {
 }
 
 MAG_COLORS = ["#1b6ca8", "#2a9d8f", "#7cb518", "#e9c46a", "#f4845f", "#d62246"]
+SIZE_PX = 640  # the longer side of the drawing
 
 
-def render_svg(
-    sp: Scanpath, gm: GradeMap, size_px: int = 640, comment: str = ""
-) -> str:
+def render_svg(sp: Scanpath, gm: GradeMap, comment: str = "") -> str:
     """Scanpath as SVG 1.1: grade-map cells, path line, magnification-coded dots."""
     h_g, w_g = gm.grid.shape
-    cell = size_px / max(h_g, w_g)
+    cell = SIZE_PX / max(h_g, w_g)
     width, height = w_g * cell, h_g * cell
     sx = width / gm.width_px
     sy = height / gm.height_px

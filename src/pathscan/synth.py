@@ -55,6 +55,9 @@ class GradeMap:
 
 
 DEFAULT_GRADE_MIX = {"Benign": 0.5, "G3": 0.2, "G4": 0.2, "G5": 0.1}
+TISSUE_FRACTION = 0.45  # share of the interior cells that are tissue
+CELL_SIZE = 256.0  # level-0 pixels per grade-map cell side
+MEAN_DURATION_MS, MAX_DURATION_MS = 150.0, 2000.0  # of a simulated sample
 
 # rows: current level 1X..40X, cols: (decrease, stay, increase)
 DEFAULT_TRANSITION_PRIOR = np.array(
@@ -69,51 +72,30 @@ DEFAULT_TRANSITION_PRIOR = np.array(
 )
 
 
-def gen_wsi(
-    seed: int,
-    h_g: int = 32,
-    w_g: int = 32,
-    grade_mix: dict[str, float] | None = None,
-    tissue_fraction: float = 0.45,
-    cell_size: float = 256.0,
-) -> GradeMap:
+def gen_wsi(seed: int, h_g: int = 32, w_g: int = 32) -> GradeMap:
     """Generate a blob-based grade map, deterministic per seed.
 
-    Each requested grade gets one connected region grown by a seeded
-    random walk; the one-cell border stays Background.
+    Each grade of ``DEFAULT_GRADE_MIX`` gets one connected region of its
+    share of ``TISSUE_FRACTION`` of the interior, grown by a seeded random
+    walk; the one-cell border stays Background.
     """
     if h_g < MIN_GRID or w_g < MIN_GRID:
         raise InvalidConfigError(f"grade map dimensions must be >= {MIN_GRID}")
-    mix = dict(DEFAULT_GRADE_MIX if grade_mix is None else grade_mix)
-    total = sum(mix.values())
-    if total <= 0 or any(v < 0 for v in mix.values()):
-        raise InvalidConfigError(f"infeasible grade mix: {mix}")
-    for name in mix:
-        if name not in GRADE_NAMES[1:]:
-            raise InvalidConfigError(f"unknown grade label: {name}")
-
     rng = np.random.default_rng(seed)
     grid = np.zeros((h_g, w_g), dtype=np.int8)
-    interior = (h_g - 2) * (w_g - 2)
-    n_tissue = int(round(interior * tissue_fraction))
-
-    targets: list[tuple[int, int]] = []  # (code, cell count)
-    for name, weight in mix.items():
-        if weight == 0:
-            continue
-        code = GRADE_NAMES.index(name)
-        targets.append((code, max(1, int(round(n_tissue * weight / total)))))
-
-    for code, count in targets:
-        _grow_blob(grid, rng, code, count)
-    return GradeMap(grid, cell_size)
+    n_tissue = int(round((h_g - 2) * (w_g - 2) * TISSUE_FRACTION))
+    total = sum(DEFAULT_GRADE_MIX.values())
+    for name, weight in DEFAULT_GRADE_MIX.items():
+        count = max(1, int(round(n_tissue * weight / total)))
+        _grow_blob(grid, rng, GRADE_NAMES.index(name), count)
+    return GradeMap(grid, CELL_SIZE)
 
 
 def _grow_blob(grid: np.ndarray, rng: np.random.Generator, code: int, count: int):
     h, w = grid.shape
     empty = np.argwhere(grid[1 : h - 1, 1 : w - 1] == BACKGROUND) + 1
     if len(empty) == 0:
-        raise InvalidConfigError("grade map is full; lower tissue_fraction")
+        raise InvalidConfigError("grade map is full")
     r, c = empty[rng.integers(len(empty))]
     grid[r, c] = code
     placed = 1
@@ -182,5 +164,5 @@ def simulate_reader(
     return RawTrajectory(wsi_id, reader_id, expertise, samples)
 
 
-def _duration(rng: np.random.Generator, mean_ms: float = 150.0, cap_ms: float = 2000.0) -> float:
-    return float(min(rng.exponential(mean_ms), cap_ms))
+def _duration(rng: np.random.Generator) -> float:
+    return float(min(rng.exponential(MEAN_DURATION_MS), MAX_DURATION_MS))

@@ -3,7 +3,7 @@ import pytest
 
 import pathscan.autodiff as ad
 from pathscan.errors import RangeError
-from pathscan.features import SyntheticFeatureProvider
+from pathscan.features import CorpusConfig, SyntheticFeatureProvider
 from pathscan.synth import gen_wsi, simulate_reader
 from pathscan.trajectory import SimplifyParams, simplify
 
@@ -31,7 +31,8 @@ def make_corpus(
                 wsi_id=wsi_id, reader_id=f"reader_{r:02d}", drill_bias=drill_bias,
             )
             scanpaths.append(simplify(traj, SimplifyParams(wsi_width=gm.width_px)))
-    provider = SyntheticFeatureProvider(maps, dim=dim, base_grid=base_grid, seed=seed)
+    provider = SyntheticFeatureProvider(
+        maps, CorpusConfig(seed=seed, feature_dim=dim, base_grid=base_grid))
     return maps, scanpaths, provider
 
 

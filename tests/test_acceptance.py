@@ -25,9 +25,11 @@ from pathscan.baselines import (
     random1_scanpath,
     random2_scanpath,
 )
-from pathscan.features import FeatureGrid, SyntheticFeatureProvider, cells_of, xy_of
+from pathscan.features import (CorpusConfig, FeatureGrid, SyntheticFeatureProvider,
+                               cells_of, xy_of)
 from pathscan.pat_h import HeatmapModelConfig, gaussian_map, loss_cc, train_heatmap
-from pathscan.synth import DEFAULT_TRANSITION_PRIOR, gen_wsi, simulate_reader
+from pathscan.synth import (CELL_SIZE, DEFAULT_TRANSITION_PRIOR, G5, GradeMap, _grow_blob,
+                            simulate_reader)
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
 from test_autodiff import fd_check
 from test_metrics import auc_pairwise_oracle
@@ -397,10 +399,13 @@ def test_criterion_6_learning_signal(capsys):
 
 def test_criterion_7_overfit_sanity(capsys):
     # stage 2: memorize a single drilling scanpath on a focal lesion
-    gm = gen_wsi(1, 16, 16, grade_mix={"G5": 1.0}, tissue_fraction=0.025)
+    grid = np.zeros((16, 16), dtype=np.int8)
+    _grow_blob(grid, np.random.default_rng(1), G5, 5)  # one 5-cell G5 lesion
+    gm = GradeMap(grid, CELL_SIZE)
     traj = simulate_reader(gm, 101, 80, wsi_id="w", reader_id="r", drill_bias=5.0)
     sp = simplify(traj, SimplifyParams(wsi_width=gm.width_px))
-    provider = SyntheticFeatureProvider({"w": gm}, dim=16, base_grid=1, seed=1)
+    provider = SyntheticFeatureProvider(
+        {"w": gm}, CorpusConfig(seed=1, feature_dim=16, base_grid=1))
     f2x = provider.get("w", MagLevel(1))
     f10x = provider.get("w", MagLevel(3))
     cfg = ps.ScanpathModelConfig(dim=16, model_dim=16, heads=2, epochs=60,

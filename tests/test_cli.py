@@ -15,7 +15,8 @@ import pathscan.inference as inference
 import pathscan.pat_h as pat_h
 import pathscan.pat_s as pat_s
 from pathscan.features import CorpusConfig
-from pathscan.io import file_sha256, load_grade_map, read_scanpaths, write_scanpaths
+from pathscan.io import (build_config, file_sha256, load_grade_map, parse_config,
+                         read_scanpaths, read_sidecar, write_scanpaths)
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams
 
 
@@ -65,6 +66,32 @@ class TestGen:
                    "--grid", "16", "--samples", "60", "--out", str(out),
                    "--force") == 0
 
+    def test_force_leaves_old_maps_that_commands_do_not_read(self, scanpath_ckpt,
+                                                             tmp_path, capsys):
+        out = tmp_path / "c2"
+        gen = ("gen", "--readers", "1", "--grid", "16", "--samples", "60", "--out", str(out))
+        assert run(*gen, "--seed", "3", "--wsis", "3") == 0
+        assert run(*gen, "--seed", "4", "--wsis", "1", "--force") == 0
+        assert (out / "wsi_002.grid").exists()
+        maps, _, _, _ = cli.load_corpus(str(out))
+        assert list(maps) == ["wsi_000"]
+        assert run("predict", "--ckpt", str(scanpath_ckpt), "--corpus", str(out),
+                   "--wsi", "wsi_002", "--n", "3", "--out", str(tmp_path / "p.jsonl")) == 3
+        assert "unknown WSI id: wsi_002" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("fault", ["no files list", "listed map missing"])
+    def test_manifest_fault_exits_3(self, corpus_dir, train_cfg, tmp_path, fault):
+        out = tmp_path / "c"
+        shutil.copytree(corpus_dir, out)
+        if fault == "no files list":
+            manifest = json.loads((out / "manifest.json").read_text())
+            del manifest["files"]
+            (out / "manifest.json").write_text(json.dumps(manifest))
+        else:
+            (out / "wsi_001.grid").unlink()
+        assert run("train-heatmap", "--corpus", str(out), "--config", str(train_cfg),
+                   "--out", str(tmp_path / "h.psck")) == 3
+
     def test_manifest_lists_hashes(self, corpus_dir):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
         assert manifest["config"]["seed"] == 7
@@ -105,6 +132,21 @@ class TestSimplify:
                    "--params", str(cfg), "--out", str(out)) == 0
         want = [sp.fixations for sp in read_scanpaths(out)]
         assert [sp.fixations for sp in read_scanpaths(corpus / "scanpaths.jsonl")] == want
+
+    def test_params_are_checked_before_reading_trajectories(self, tmp_path):
+        # an input of only its _meta line holds no trajectory to simplify
+        traj = tmp_path / "t.jsonl"
+        traj.write_text('{"_meta": {"version": "0.1.0", "config": {}}}\n')
+        params, out = tmp_path / "p.cfg", tmp_path / "o.jsonl"
+        params.write_text("th_time = abc\n")
+        assert run("simplify", "--in", str(traj), "--params", str(params),
+                   "--out", str(out)) == 3
+        assert not out.exists()
+        params.write_text("th_time = 120\n")
+        assert run("simplify", "--in", str(traj), "--params", str(params),
+                   "--out", str(out)) == 0
+        assert json.loads(out.read_text()) == \
+            {"_meta": {"version": "0.1.0", "config": {"th_time": 120}}}
 
     def test_unknown_width_is_data_error(self, corpus_dir, tmp_path):
         traj = tmp_path / "trajectories.jsonl"
@@ -222,6 +264,28 @@ class TestTrainPredictEval:
                    "--config", str(train_cfg), "--out", str(ckpt)) == 0
         assert ckpt.exists()
         assert ckpt.with_suffix(".loss.csv").exists()
+
+    def test_sidecars_hold_the_trained_configs(self, corpus_dir, train_cfg,
+                                               scanpath_ckpt, tmp_path):
+        # train_cfg also sets stage-2 keys; the stage-1 sidecar holds none
+        ckpt = tmp_path / "h.psck"
+        assert run("train-heatmap", "--corpus", str(corpus_dir),
+                   "--config", str(train_cfg), "--out", str(ckpt)) == 0
+        cfg = parse_config(train_cfg)
+        for path, cls in ((ckpt, pat_h.HeatmapModelConfig),
+                          (scanpath_ckpt, pat_s.ScanpathModelConfig)):
+            config = build_config(cls, cfg, dim=32)
+            rec = json.loads(Path(str(path) + ".json").read_text())
+            assert rec == {"version": "0.1.0", "config": dataclasses.asdict(config)}
+            assert read_sidecar(path, cls) == (config, None)
+
+    def test_csv_lines_end_with_newline(self, corpus_dir, scanpath_ckpt, tmp_path):
+        report = tmp_path / "next.csv"
+        assert run("eval-next", "--ckpt", str(scanpath_ckpt), "--corpus", str(corpus_dir),
+                   "--gt", str(corpus_dir / "scanpaths.jsonl"), "--report", str(report)) == 0
+        for path in (report, scanpath_ckpt.with_suffix(".loss.csv")):
+            text = path.read_bytes()
+            assert b"\r" not in text and text.endswith(b"\n")
 
     def test_predict_writes_scanpath(self, corpus_dir, scanpath_ckpt, tmp_path):
         out = tmp_path / "pred.jsonl"
@@ -469,9 +533,8 @@ def stage1_grid(corpus_dir, d, wsi_id, level):
     _, _, provider, _ = cli.load_corpus(str(corpus_dir))
     grid = provider.get(wsi_id, MagLevel(level))
     models, _ = pat_h.load_heatmap_models(d / "h.psck")
-    params = {k: ad.Tensor(v) for k, v in models[level].items()}
     config = pat_h.HeatmapModelConfig(dim=provider.dim, layers=1, heads=4)
-    return pat_h.encode(grid, params, config).data.reshape(grid.rows, grid.cols, -1)
+    return pat_h.encode(grid, models[level], config).data.reshape(grid.rows, grid.cols, -1)
 
 
 class TestStage1Checkpoint:
@@ -546,6 +609,47 @@ class TestStage1Checkpoint:
                    "--gt", str(corpus_dir / "scanpaths.jsonl"),
                    "--report", str(tmp_path / "next.csv")) == 3
         assert message in capsys.readouterr().err
+
+    @pytest.mark.parametrize("stage", ["h", "s"])
+    @pytest.mark.parametrize("heads", [2.9, "2", True], ids=["float", "str", "bool"])
+    def test_mistyped_sidecar_value_exits_3(self, corpus_dir, stage1_run, tmp_path,
+                                            stage, heads, capsys):
+        d, _, _ = stage1_run
+        for name in ("h.psck", "h.psck.json", "s.psck", "s.psck.json"):
+            shutil.copyfile(d / name, tmp_path / name)
+        side = tmp_path / f"{stage}.psck.json"
+        rec = json.loads(side.read_text())
+        rec["config"]["heads"] = heads
+        side.write_text(json.dumps(rec))
+        if stage == "h":  # keep the stage-2 sidecar's hash of it current
+            s_side = tmp_path / "s.psck.json"
+            rec = json.loads(s_side.read_text())
+            rec["stage1"]["sidecar_sha256"] = file_sha256(side)
+            s_side.write_text(json.dumps(rec))
+        ckpt = str(tmp_path / "s.psck")
+        assert run("predict", "--ckpt", ckpt, "--corpus", str(corpus_dir), "--wsi",
+                   "wsi_000", "--n", "3", "--out", str(tmp_path / "p.jsonl")) == 3
+        assert run("eval-next", "--ckpt", ckpt, "--corpus", str(corpus_dir),
+                   "--gt", str(corpus_dir / "scanpaths.jsonl"),
+                   "--report", str(tmp_path / "next.csv")) == 3
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 2
+        assert all(f"{side}: config key heads must be int" in line for line in err)
+
+    def test_earlier_sidecar_format_loads_to_the_same_config(self, stage1_run,
+                                                             tmp_path):
+        # sidecars used to hold the config file's values updated with the
+        # model's int shape keys
+        d, _, _ = stage1_run
+        for name, cfg_file, cls, keys in (
+                ("h.psck", "s1.cfg", pat_h.HeatmapModelConfig, ("dim", "layers", "heads")),
+                ("s.psck", "s2.cfg", pat_s.ScanpathModelConfig,
+                 ("dim", "model_dim", "enc_layers", "dec_layers", "heads"))):
+            rec = json.loads((d / f"{name}.json").read_text())
+            rec["config"] = {**parse_config(d / cfg_file),
+                             **{k: rec["config"][k] for k in keys}}
+            (tmp_path / f"{name}.json").write_text(json.dumps(rec))
+            assert read_sidecar(tmp_path / name, cls)[0] == read_sidecar(d / name, cls)[0]
 
     def test_sidecars_identical_across_directories(self, corpus_dir, stage1_run,
                                                    tmp_path):

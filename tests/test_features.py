@@ -8,6 +8,8 @@ import pathscan.pat_s as pat_s
 from pathscan.errors import InvalidConfigError, RangeError
 from pathscan.features import (
     MAX_SIDE,
+    MIN_DIM,
+    CorpusConfig,
     FeatureGrid,
     SyntheticFeatureProvider,
     cell_centres,
@@ -44,8 +46,9 @@ class TestEmbed:
         assert not np.array_equal(embed(hist, 8, 5), embed(hist, 8, 6))
 
     def test_small_dim_rejected(self):
+        # the corpus config owns the smallest token dim; embed takes it as given
         with pytest.raises(InvalidConfigError):
-            embed(np.zeros((1, 5)), 4, 0)
+            CorpusConfig(feature_dim=MIN_DIM - 1)
 
 
 class TestTokenAt:
@@ -80,7 +83,7 @@ class TestTokenAt:
 class TestSyntheticProvider:
     def test_resolution_scales_then_caps(self):
         maps = {"w": gen_wsi(1, 16, 16)}
-        p = SyntheticFeatureProvider(maps, dim=8, base_grid=8)
+        p = SyntheticFeatureProvider(maps, CorpusConfig(feature_dim=8, base_grid=8))
         assert MAX_SIDE == 32
         assert p.get("w", MagLevel(0)).rows == 8
         assert p.get("w", MagLevel(1)).rows == 16
@@ -90,16 +93,17 @@ class TestSyntheticProvider:
 
     def test_deterministic_and_cached(self):
         maps = {"w": gen_wsi(1, 16, 16)}
-        p = SyntheticFeatureProvider(maps, dim=8, seed=3)
+        p = SyntheticFeatureProvider(maps, CorpusConfig(seed=3, feature_dim=8))
         a = p.get("w", MagLevel(1))
         b = p.get("w", MagLevel(1))
         assert a is b
-        q = SyntheticFeatureProvider(maps, dim=8, seed=3)
+        q = SyntheticFeatureProvider(maps, CorpusConfig(seed=3, feature_dim=8))
         assert np.array_equal(a.data, q.get("w", MagLevel(1)).data)
 
     def test_grid_spans_wsi(self):
         gm = gen_wsi(3, 16, 32)  # 8192 x 4096 px
-        g = SyntheticFeatureProvider({"w": gm}, dim=8).get("w", MagLevel(3))
+        p = SyntheticFeatureProvider({"w": gm}, CorpusConfig(feature_dim=8))
+        g = p.get("w", MagLevel(3))
         assert (g.width_px, g.height_px) == (gm.width_px, gm.height_px)
         assert g.patch_px == gm.width_px / g.cols
         with pytest.raises(RangeError):
