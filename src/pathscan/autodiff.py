@@ -300,12 +300,12 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
     return _make(out, (a,), backward)
 
 
-def layernorm(a: Tensor, eps: float = 1e-5) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance."""
+def layernorm(a: Tensor) -> Tensor:
+    """Normalize the last axis to zero mean, unit variance (+1e-5 under the root)."""
     a = _as_tensor(a)
     mu = a.data.mean(axis=-1, keepdims=True)
     var = a.data.var(axis=-1, keepdims=True)
-    inv = 1.0 / np.sqrt(var + eps)
+    inv = 1.0 / np.sqrt(var + 1e-5)
     y = (a.data - mu) * inv
 
     def backward(g):

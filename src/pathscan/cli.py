@@ -18,24 +18,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import autodiff as ad
 from . import baselines, inference, metrics, pat_h, pat_s
-from .errors import (DegenerateInputError, InvalidInputError, NumericError,
-                     PathscanError)
+from .errors import (DegenerateInputError, InvalidConfigError, InvalidInputError,
+                     NumericError, PathscanError)
 from .features import CorpusConfig, SyntheticFeatureProvider
-from .io import (
-    VERSION,
-    build_config,
-    load_grade_map,
-    parse_config,
-    read_scanpaths,
-    read_trajectories,
-    save_grade_map,
-    write_manifest,
-    write_scanpaths,
-    write_sidecar,
-    write_trajectories,
-)
+from .io import (VERSION, build_config, load_grade_map, parse_config, read_scanpaths,
+                 read_trajectories, save_grade_map, write_manifest, write_scanpaths,
+                 write_trajectories)
 from .render import render_svg
 from .synth import MIN_GRID, MIN_SAMPLES, gen_wsi, simulate_reader
 from .trajectory import Fixation, MagLevel, Scanpath, SimplifyParams, simplify
@@ -64,10 +53,12 @@ def load_corpus(corpus_dir: str):
     try:
         manifest = json.loads(manifest_file.read_text())
         cfg = manifest.get("config", {})
+        corpus = build_config(CorpusConfig, cfg)
         grids = sorted(Path(entry["file"]) for entry in manifest["files"])
+    except InvalidConfigError as e:
+        raise InvalidConfigError(f"{manifest_file}: {e}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as e:
         raise InvalidInputError(f"{manifest_file}: malformed manifest: {e!r}") from None
-    corpus = build_config(CorpusConfig, cfg)
     maps = {g.stem: load_grade_map(root / g) for g in grids if g.suffix == ".grid"}
     if not maps:
         raise InvalidInputError(f"{corpus_dir}: no grade maps")
@@ -164,8 +155,7 @@ def cmd_train_heatmap(args) -> int:
         corpus[mag_idx] = items
 
     models, curves = pat_h.train_heatmap(corpus, config)
-    pat_h.save_heatmap_models(args.out, models)
-    write_sidecar(args.out, config)
+    pat_h.save_heatmap_models(args.out, models, config)
     _write_csv(Path(args.out).with_suffix(".loss.csv"), ("mag_index", "epoch", "loss"),
                [(m, e, loss) for m, c in curves.items() for e, loss in enumerate(c)],
                f" config={json.dumps(cfg)}")
@@ -182,8 +172,7 @@ def cmd_train_scanpath(args) -> int:
     params, log = pat_s.train_scanpath(corpus, provider, config, stage1)
     if any(not np.isfinite(row[3]) for row in log):
         raise NumericError("training loss became non-finite")
-    ad.save_checkpoint(args.out, params)
-    write_sidecar(args.out, config, stage1=args.stage1)
+    pat_s.save_scanpath_model(args.out, params, config, stage1)
     _write_csv(Path(args.out).with_suffix(".loss.csv"),
                ("epoch", "loss_fix", "loss_mag", "loss_total"), log,
                f" config={json.dumps(cfg)}")

@@ -124,14 +124,7 @@ def token_at(grid: FeatureGrid, x: float, y: float) -> np.ndarray:
                      np.array([y], dtype=np.float64))[0]
 
 
-class FeatureProvider:
-    """Contract: (wsi_id, mag) -> FeatureGrid, deterministic per pair."""
-
-    def get(self, wsi_id: str, mag: MagLevel) -> FeatureGrid:
-        raise NotImplementedError
-
-
-class SyntheticFeatureProvider(FeatureProvider):
+class SyntheticFeatureProvider:
     """Deterministic featurizer over synthetic grade maps.
 
     Grid resolution scales with the magnification factor (the corpus's

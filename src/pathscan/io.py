@@ -9,7 +9,6 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
-import os
 import typing
 from pathlib import Path
 
@@ -35,6 +34,8 @@ def _records(path):
                 rec = json.loads(line)
             except json.JSONDecodeError as e:
                 raise InvalidInputError(f"{path}:{lineno}: malformed JSON: {e}") from None
+            if not isinstance(rec, dict):
+                raise InvalidInputError(f"{path}:{lineno}: not a JSON object")
             if "_meta" not in rec:
                 yield lineno, rec
 
@@ -135,13 +136,13 @@ def save_grade_map(base_path, gm: GradeMap):
 
 
 def load_grade_map(base_path) -> GradeMap:
+    """``save_grade_map``'s pair; a file missing or malformed raises FormatError."""
     base = Path(base_path)
-    grid_file = base.with_suffix(".grid")
-    sidecar = base.with_suffix(".json")
-    if not grid_file.exists() or not sidecar.exists():
-        raise FormatError(f"grade map files missing for {base}")
-    meta = json.loads(sidecar.read_text())
-    return GradeMap.from_text(grid_file.read_text(), float(meta["cell_size"]))
+    try:
+        cell_size = float(json.loads(base.with_suffix(".json").read_text())["cell_size"])
+        return GradeMap.from_text(base.with_suffix(".grid").read_text(), cell_size)
+    except (OSError, ValueError, KeyError, TypeError) as e:
+        raise FormatError(f"{base}: missing or malformed grade map: {e!r}") from None
 
 
 def parse_config(path) -> dict:
@@ -179,7 +180,10 @@ def build_config(cls, cfg: dict, **fixed):
     """Config dataclass ``cls`` with the ``fixed`` fields as given and each
     other field from ``parse_config``'s dict ``cfg`` or else its default;
     other keys are ignored. A value of a type that ``_ADMITS`` does not
-    list for its field raises InvalidConfigError; ``cls`` checks ranges."""
+    list for its field, or a ``cfg`` that is no dict, raises
+    InvalidConfigError; ``cls`` checks ranges."""
+    if not isinstance(cfg, dict):
+        raise InvalidConfigError(f"a config must be an object of keys, got {cfg!r}")
     hints = typing.get_type_hints(cls)
     for key in [k for k in hints if k in cfg and k not in fixed]:
         if type(cfg[key]) not in _ADMITS[hints[key]]:
@@ -189,40 +193,27 @@ def build_config(cls, cfg: dict, **fixed):
     return cls(**fixed)
 
 
-def file_sha256(path) -> str:
-    h = hashlib.sha256()
-    with open(path, "rb") as fh:
-        for chunk in iter(lambda: fh.read(65536), b""):
-            h.update(chunk)
-    return h.hexdigest()
-
-
 def write_sidecar(ckpt, config, stage1=None):
     """``<ckpt>.json``: the tool version and every field of the model's
-    ``config`` dataclass. A stage-2 model trained on stage-1 features also
-    names its stage-1 checkpoint, relative to ``ckpt``'s directory, and the
-    sha256 of that file and of its own sidecar, which holds the stage-1
-    config."""
+    ``config`` dataclass, and of the ``stage1`` config of a stage-2 model
+    that carries its stage-1 models."""
     rec = {"version": VERSION, "config": dataclasses.asdict(config)}
     if stage1 is not None:
-        rec["stage1"] = {"file": os.path.relpath(stage1, Path(ckpt).parent),
-                         "sha256": file_sha256(stage1),
-                         "sidecar_sha256": file_sha256(str(stage1) + ".json")}
+        rec["stage1"] = dataclasses.asdict(stage1)
     Path(str(ckpt) + ".json").write_text(json.dumps(rec))
 
 
-def read_sidecar(ckpt, cls) -> tuple:
+def read_sidecar(ckpt, cls, stage1_cls=None) -> tuple:
     """``<ckpt>.json``'s config as ``build_config`` makes a ``cls`` of it,
-    and the stage-1 checkpoint's (path, sha256, sidecar sha256) if the
-    sidecar names one. A value ``build_config`` rejects raises
+    and its ``stage1`` entry as a ``stage1_cls``, or None when there is no
+    entry or no ``stage1_cls``. A value ``build_config`` rejects raises
     InvalidConfigError naming the sidecar."""
     sidecar = Path(str(ckpt) + ".json")
     try:
         rec = json.loads(sidecar.read_text())
-        ref = rec.get("stage1")
-        stage1 = ref and (Path(ckpt).parent / ref["file"], str(ref["sha256"]),
-                          str(ref["sidecar_sha256"]))
-        return build_config(cls, rec["config"]), stage1
+        stage1 = rec.get("stage1") if stage1_cls else None
+        return (build_config(cls, rec["config"]),
+                None if stage1 is None else build_config(stage1_cls, stage1))
     except InvalidConfigError as e:
         raise InvalidConfigError(f"{sidecar}: {e}") from None
     except (ValueError, KeyError, TypeError, AttributeError) as e:
@@ -231,12 +222,8 @@ def read_sidecar(ckpt, cls) -> tuple:
 
 def write_manifest(path, files: list[str], config: dict):
     root = Path(path).parent
-    entries = [
-        {"file": str(Path(f).relative_to(root)), "sha256": file_sha256(f)}
-        for f in sorted(files)
-    ]
+    entries = [{"file": str(Path(f).relative_to(root)),
+                "sha256": hashlib.sha256(Path(f).read_bytes()).hexdigest()}
+               for f in sorted(files)]
     Path(path).write_text(
-        json.dumps(
-            {"version": VERSION, "config": config, "files": entries}, indent=2
-        )
-    )
+        json.dumps({"version": VERSION, "config": config, "files": entries}, indent=2))

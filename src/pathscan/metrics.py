@@ -8,7 +8,7 @@ import numpy as np
 from scipy.stats import rankdata
 
 from .errors import ContractError, DegenerateInputError, InvalidInputError
-from .features import FeatureProvider, cells_of, token_at, tokens_at, xy_of
+from .features import SyntheticFeatureProvider, cells_of, token_at, tokens_at, xy_of
 from .pat_h import gaussian_map
 from .synth import BACKGROUND, GRADE_CHARS, GradeMap
 from .trajectory import MAG_FACTORS, Fixation, MagLevel, Scanpath
@@ -119,7 +119,7 @@ def _unit_rows(tokens: np.ndarray) -> np.ndarray:
 def tok_sim_scan(
     pred: Scanpath,
     gt: Scanpath,
-    provider: FeatureProvider,
+    provider: SyntheticFeatureProvider,
     wsi_id: str,
 ) -> tuple[dict[int, float], float]:
     """Token similarity per magnification level plus the overall score.
@@ -150,7 +150,7 @@ def tok_sim_scan(
 
 
 def tok_sim_fix(
-    pred_fix: Fixation, gt_fix: Fixation, provider: FeatureProvider, wsi_id: str
+    pred_fix: Fixation, gt_fix: Fixation, provider: SyntheticFeatureProvider, wsi_id: str
 ) -> float:
     """Cosine similarity of the viewport tokens at the two fixations, in
     float64 as in ``tok_sim_scan`` (a zero token scores 0)."""

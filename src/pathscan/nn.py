@@ -9,6 +9,7 @@ from __future__ import annotations
 import numpy as np
 
 from . import autodiff as ad
+from .errors import FormatError
 
 
 def init_param(params: dict, name: str, shape: tuple[int, ...],
@@ -18,6 +19,22 @@ def init_param(params: dict, name: str, shape: tuple[int, ...],
     parameters were upcast after init."""
     data = np.zeros(shape) if rng is None else rng.standard_normal(shape) * 0.02
     params[name] = ad.Tensor(data.astype(np.float32), requires_grad=True)
+
+
+def checked_params(saved: dict[str, np.ndarray], init, pos: str, source,
+                   prefix: str = "") -> dict[str, ad.Tensor]:
+    """``saved`` as parameters if its names and shapes are those of ``init(n)``,
+    n being the saved ``pos`` table's length; else FormatError naming ``source``
+    and the first tensor (``prefix`` + name) missing, mis-shaped or extra."""
+    n = saved[pos].shape[0] if pos in saved and saved[pos].ndim else 0
+    want = {k: t.shape for k, t in init(n).items()}
+    for k in [*want, *saved]:
+        got = saved[k].shape if k in saved else None
+        if got != want.get(k):
+            raise FormatError(f"{source}: tensor {prefix}{k} " + (
+                "is missing" if got is None else f"has shape {got}, its sidecar gives "
+                f"{want[k]}" if k in want else "is not in the model its sidecar describes"))
+    return {k: ad.Tensor(a) for k, a in saved.items()}
 
 
 def init_linear(params: dict, name: str, din: int, dout: int, rng: np.random.Generator):

@@ -10,6 +10,7 @@ factor).
 
 from __future__ import annotations
 
+import re
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
 from . import io, nn
-from .errors import DegenerateInputError, InvalidConfigError, InvalidInputError, ShapeError
+from .errors import (DegenerateInputError, FormatError, InvalidConfigError, InvalidInputError,
+                     ShapeError)
 from .features import FeatureGrid, cells_of, xy_of
 from .trajectory import Fixation, MagLevel
 
@@ -76,7 +78,7 @@ def gaussian_map(
 
 
 def init_heatmap_params(
-    n_tokens: int, config: HeatmapModelConfig, rng: np.random.Generator
+    n_tokens: int, config: HeatmapModelConfig, rng: np.random.Generator | None
 ) -> dict[str, ad.Tensor]:
     params: dict[str, ad.Tensor] = {}
     nn.init_param(params, "pos", (n_tokens, config.dim), rng)
@@ -184,18 +186,36 @@ def train_heatmap(
     return models, curves
 
 
-def save_heatmap_models(path, models: dict[int, dict[str, ad.Tensor]]):
-    flat = {f"m{idx}.{k}": v for idx, ps in models.items() for k, v in ps.items()}
-    ad.save_checkpoint(path, flat)
+def level_tables(models: dict[int, dict[str, ad.Tensor]], prefix: str = "") -> dict:
+    """Every level's parameters in one table, each under ``prefix`` + ``m{idx}.``."""
+    return {f"{prefix}m{idx}.{k}": v for idx, ps in models.items() for k, v in ps.items()}
 
 
-def load_heatmap_models(
-    path,
-) -> tuple[dict[int, dict[str, ad.Tensor]], HeatmapModelConfig]:
-    """Per-level parameters and the config recorded in ``<path>.json``."""
+def split_levels(tables: dict, config: HeatmapModelConfig, source, prefix: str = "") -> dict:
+    """The models whose ``level_tables(models, prefix)`` the checkpoint table
+    ``tables`` of ``source`` holds, popped from it, each level checked by
+    ``nn.checked_params``. A name that starts with ``prefix`` but is no
+    ``prefix`` + ``m{idx}.<name>``, or no such name, raises FormatError."""
+    levels: dict[int, dict[str, np.ndarray]] = {}
+    for key in [k for k in tables if k.startswith(prefix)]:
+        name = re.fullmatch(re.escape(prefix) + r"m(\d+)\.(.+)", key)
+        if not name:
+            raise FormatError(f"{source}: tensor {key} is not {prefix}m<level>.<name>")
+        levels.setdefault(int(name[1]), {})[name[2]] = tables.pop(key)
+    if not levels:
+        raise FormatError(f"{source}: no {prefix}m<level>. tensors")
+    return {idx: nn.checked_params(t, lambda n: init_heatmap_params(n, config, None),
+                                   "pos", source, f"{prefix}m{idx}.")
+            for idx, t in levels.items()}
+
+
+def save_heatmap_models(path, models: dict[int, dict[str, ad.Tensor]], config: HeatmapModelConfig):
+    """The checkpoint ``path`` of ``level_tables(models)`` and its sidecar."""
+    ad.save_checkpoint(path, level_tables(models))
+    io.write_sidecar(path, config)
+
+
+def load_heatmap_models(path) -> tuple[dict[int, dict[str, ad.Tensor]], HeatmapModelConfig]:
+    """Per-level parameters and config of a ``save_heatmap_models`` pair."""
     config = io.read_sidecar(path, HeatmapModelConfig)[0]
-    out: dict[int, dict[str, ad.Tensor]] = {}
-    for key, arr in ad.load_checkpoint(path).items():
-        prefix, rest = key.split(".", 1)
-        out.setdefault(int(prefix[1:]), {})[rest] = ad.Tensor(arr)
-    return out, config
+    return split_levels(ad.load_checkpoint(path), config, path), config

@@ -13,25 +13,19 @@ from __future__ import annotations
 
 import warnings
 from dataclasses import dataclass
-from pathlib import Path
 
 import numpy as np
 
 from . import autodiff as ad
 from . import io, nn, pat_h
-from .errors import (
-    ContractError,
-    InvalidConfigError,
-    InvalidInputError,
-    RangeError,
-    ShapeError,
-)
+from .errors import ContractError, InvalidConfigError, InvalidInputError, RangeError, ShapeError
 from .features import FeatureGrid, cells_of, tokens_at, xy_of
 from .features import token_at  # noqa: F401  (bench/test_bench.py asserts this binding)
 from .trajectory import MagLevel, Fixation, Scanpath
 
 TEMPORAL_CAP = 150  # matches the simplification fixation cap
 FOCAL_GAMMA, FOCAL_BETA = 2.0, 4.0  # focal-loss exponents
+STAGE1 = "stage1."  # the prefix of the stage-1 tensors a stage-2 checkpoint carries
 
 
 @dataclass
@@ -63,7 +57,7 @@ class ScanpathModelConfig:
 
 
 def init_scanpath_params(
-    f2x_tokens: int, config: ScanpathModelConfig, rng: np.random.Generator
+    f2x_tokens: int, config: ScanpathModelConfig, rng: np.random.Generator | None
 ) -> dict[str, ad.Tensor]:
     d, c = config.dim, config.model_dim
     params: dict[str, ad.Tensor] = {}
@@ -319,23 +313,23 @@ def stage2_grids(provider, wsi_id: str, stage1) -> tuple[FeatureGrid, FeatureGri
     return out[0], out[1]
 
 
-def load_scanpath_model(
-    ckpt,
-) -> tuple[dict[str, ad.Tensor], ScanpathModelConfig, tuple | None]:
-    """Parameters, config and stage-1 ``(models, config)`` (None if it was
-    trained on raw grids) of a stage-2 checkpoint, all named by its sidecar.
+def save_scanpath_model(path, params: dict, config: ScanpathModelConfig, stage1=None):
+    """The checkpoint ``path`` and its sidecar. A model trained on ``stage1``,
+    ``(models, config)`` from ``pat_h.load_heatmap_models``, carries both:
+    the models' tensors under ``STAGE1`` and their config."""
+    models, s1_config = stage1 or ({}, None)
+    ad.save_checkpoint(path, {**params, **pat_h.level_tables(models, STAGE1)})
+    io.write_sidecar(path, config, s1_config)
 
-    A stage-1 file or stage-1 sidecar that is missing, or whose sha256 is
-    not the one the sidecar recorded, raises InvalidInputError.
-    """
-    config, ref = io.read_sidecar(ckpt, ScanpathModelConfig)
-    params = {k: ad.Tensor(v) for k, v in ad.load_checkpoint(ckpt).items()}
-    stage1 = None
-    if ref:
-        path, sha, sidecar_sha = ref
-        for file, want in ((path, sha), (Path(str(path) + ".json"), sidecar_sha)):
-            if not file.exists() or io.file_sha256(file) != want:
-                raise InvalidInputError(
-                    f"{ckpt}: stage-1 file {file} is missing or changed")
-        stage1 = pat_h.load_heatmap_models(path)
+
+def load_scanpath_model(ckpt) -> tuple[dict[str, ad.Tensor], ScanpathModelConfig, tuple | None]:
+    """Parameters, config and stage-1 ``(models, config)`` (None if it was
+    trained on raw grids) of a ``save_scanpath_model`` pair, each table
+    checked by ``nn.checked_params`` against its config."""
+    config, s1_config = io.read_sidecar(ckpt, ScanpathModelConfig, pat_h.HeatmapModelConfig)
+    tables = ad.load_checkpoint(ckpt)
+    stage1 = None if s1_config is None else (
+        pat_h.split_levels(tables, s1_config, ckpt, STAGE1), s1_config)
+    params = nn.checked_params(tables, lambda n: init_scanpath_params(n, config, None),
+                               "pos2x", ckpt)
     return params, config, stage1

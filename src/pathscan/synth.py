@@ -118,7 +118,6 @@ def simulate_reader(
     n_samples: int,
     wsi_id: str = "wsi",
     reader_id: str = "reader",
-    expertise: str = "specialist",
     drill_bias: float = 0.7,
 ) -> RawTrajectory:
     """Simulate a dense viewport trajectory over a grade map.
@@ -161,7 +160,7 @@ def simulate_reader(
         x = float(np.clip(x, 0, wsi.width_px - 1e-6))
         y = float(np.clip(y, 0, wsi.height_px - 1e-6))
         samples.append(ViewportSample(x, y, MagLevel(level), _duration(rng)))
-    return RawTrajectory(wsi_id, reader_id, expertise, samples)
+    return RawTrajectory(wsi_id, reader_id, "specialist", samples)
 
 
 def _duration(rng: np.random.Generator) -> float:

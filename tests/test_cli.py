@@ -15,8 +15,8 @@ import pathscan.inference as inference
 import pathscan.pat_h as pat_h
 import pathscan.pat_s as pat_s
 from pathscan.features import CorpusConfig
-from pathscan.io import (build_config, file_sha256, load_grade_map, parse_config,
-                         read_scanpaths, read_sidecar, write_scanpaths)
+from pathscan.io import (build_config, load_grade_map, parse_config, read_scanpaths,
+                         read_sidecar, write_scanpaths)
 from pathscan.trajectory import Fixation, MagLevel, Scanpath, SimplifyParams
 
 
@@ -79,18 +79,23 @@ class TestGen:
                    "--wsi", "wsi_002", "--n", "3", "--out", str(tmp_path / "p.jsonl")) == 3
         assert "unknown WSI id: wsi_002" in capsys.readouterr().err
 
-    @pytest.mark.parametrize("fault", ["no files list", "listed map missing"])
-    def test_manifest_fault_exits_3(self, corpus_dir, train_cfg, tmp_path, fault):
+    @pytest.mark.parametrize("fault", ["no files list", "listed map missing",
+                                       "config seed not an int"])
+    def test_manifest_fault_exits_3(self, corpus_dir, train_cfg, tmp_path, fault, capsys):
         out = tmp_path / "c"
         shutil.copytree(corpus_dir, out)
+        manifest = json.loads((out / "manifest.json").read_text())
         if fault == "no files list":
-            manifest = json.loads((out / "manifest.json").read_text())
             del manifest["files"]
-            (out / "manifest.json").write_text(json.dumps(manifest))
+        elif fault == "config seed not an int":
+            manifest["config"]["seed"] = "7"
         else:
             (out / "wsi_001.grid").unlink()
+        (out / "manifest.json").write_text(json.dumps(manifest))
         assert run("train-heatmap", "--corpus", str(out), "--config", str(train_cfg),
                    "--out", str(tmp_path / "h.psck")) == 3
+        if fault == "config seed not an int":
+            assert f"{out / 'manifest.json'}: config key seed" in capsys.readouterr().err
 
     def test_manifest_lists_hashes(self, corpus_dir):
         manifest = json.loads((corpus_dir / "manifest.json").read_text())
@@ -175,6 +180,18 @@ GEN_CFG = "gen --wsis 1 --readers 1 --samples 60 --grid 16 --config {t}/x.cfg --
 SIMPLIFY_CFG = "simplify --in {c}/trajectories.jsonl --params {t}/x.cfg --out {t}/s.jsonl"
 TRAIN_H = "train-heatmap --corpus {c} --config {t}/x.cfg --out {t}/h.psck"
 TRAIN_S = "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck"
+# a one-WSI corpus in {t} and a one-fixation scanpath on its WSI w
+TINY = {"manifest.json": '{"config": {}, "files": [{"file": "w.grid"}]}',
+        "w.grid": "........\n" * 3 + "...BB...\n" * 2 + "........\n" * 3,
+        "w.json": '{"cell_size": 256.0}',
+        "p.jsonl": '{"wsi": "w", "reader": "r", "fixations": '
+                   '[{"x": 1000, "y": 1000, "mag": 4, "dur_ms": 100}]}\n'}
+EVAL_TINY = "eval-scanpath --pred {t}/p.jsonl --gt {t}/p.jsonl --corpus {t} --report {t}/r.csv"
+RENDER_TINY = "render --scanpath {t}/p.jsonl --grades {t}/w.grid --out {t}/r.svg"
+BAD_GRADE_MAPS = {"unknown-char": {"w.grid": "..?.....\n" * 8},
+                  "ragged-row": {"w.grid": "........\n" * 7 + ".......\n"},
+                  "sidecar-not-json": {"w.json": "cell_size = 256"},
+                  "sidecar-no-cell-size": {"w.json": '{"cell": 256.0}'}}
 
 
 @pytest.mark.parametrize("want, argv, cfg", [
@@ -208,6 +225,13 @@ TRAIN_S = "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck"
         "lr = -0.5\n", "model_dim = 0\n")],
     *[(2, f"gen {flag} --out {{t}}/g", None) for flag in (
         "--wsis -3", "--readers 0", "--samples 5", "--grid 4")],
+    (0, EVAL_TINY, TINY),
+    (0, RENDER_TINY, TINY),
+    *[(3, argv, {**TINY, **bad}) for argv in (EVAL_TINY, RENDER_TINY)
+      for bad in BAD_GRADE_MAPS.values()],
+    (3, EVAL_TINY, {**TINY, "manifest.json": TINY["manifest.json"].replace("{}", "[]")}),
+    *[(3, "stats-mag --scanpaths {t}/p.jsonl --out {t}/o.csv", {"p.jsonl": line})
+      for line in ("7\n", "null\n")],
 ], ids=["success", "usage", "data", "config", "numeric", "predict-n-not-int",
         "predict-n-zero", "render-index-past-end", "render-index-negative",
         "gen-seed-negative", "predict-seed-negative", "config-seed-negative",
@@ -218,13 +242,18 @@ TRAIN_S = "train-scanpath --corpus {c} --config {t}/x.cfg --out {t}/s.psck"
         "heatmap-heads-0", "scanpath-epochs-float", "scanpath-lr-not-number",
         "scanpath-epochs-negative", "scanpath-enc-layers-negative",
         "scanpath-lr-negative", "scanpath-model-dim-0", "gen-wsis-negative",
-        "gen-readers-0", "gen-samples-below-floor", "gen-grid-below-floor"])
+        "gen-readers-0", "gen-samples-below-floor", "gen-grid-below-floor",
+        "eval-scanpath-tiny-corpus", "render-tiny-corpus",
+        *[f"{command}-grade-map-{bad}" for command in ("eval-scanpath", "render")
+          for bad in BAD_GRADE_MAPS],
+        "manifest-config-not-object", "stats-mag-line-number", "stats-mag-line-null"])
 @pytest.mark.filterwarnings("ignore:overflow:RuntimeWarning")
 def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path, capsys):
     """0 success, 2 usage, 3 data, file or configuration, 4 numeric failure;
-    a failed gen leaves no file in --out."""
-    if cfg is not None:
-        (tmp_path / "x.cfg").write_text(cfg)
+    a failed gen leaves no file in --out. ``cfg`` is the text of x.cfg, or
+    the text of each file by name."""
+    for name, text in ({"x.cfg": cfg} if isinstance(cfg, str) else cfg or {}).items():
+        (tmp_path / name).write_text(text)
     try:
         code = run(*argv.format(c=corpus_dir, t=tmp_path).split())
     except SystemExit as e:
@@ -537,6 +566,19 @@ def stage1_grid(corpus_dir, d, wsi_id, level):
     return pat_h.encode(grid, models[level], config).data.reshape(grid.rows, grid.cols, -1)
 
 
+# what a loader names for each pair whose table is not its sidecar's model
+TABLE_FAULTS = {
+    "stage-1 pair as --ckpt": "h.psck: tensor inproj.W is missing",
+    "stage-2 pair as --stage1": "s.psck: tensor inproj.W is not m<level>.<name>",
+    "enc_layers 1 to 2": "s.psck: tensor mem1.attn.q.W is missing",
+    "stage-1 layers 1 to 2": "s.psck: tensor stage1.m1.enc1.attn.q.W is missing",
+    "dec_layers 1 to 0": "s.psck: tensor dec0.xattn.q.W is not in the model its sidecar",
+    "model_dim 16 to 32": "s.psck: tensor inproj.W has shape (32, 16), its sidecar "
+                          "gives (32, 32)",
+    "earlier --stage1 format": "s.psck: no stage1.m<level>. tensors",
+}
+
+
 class TestStage1Checkpoint:
     def test_train_scanpath_encodes_with_stage1_config(self, stage1_run):
         d, code, seen = stage1_run
@@ -546,8 +588,10 @@ class TestStage1Checkpoint:
         assert {k: h_side["config"][k] for k in ("dim", "layers", "heads")} == \
             {"dim": 32, "layers": 1, "heads": 4}
         s_side = json.loads((d / "s.psck.json").read_text())
-        assert s_side["stage1"] == {"file": "h.psck", "sha256": file_sha256(d / "h.psck"),
-                                    "sidecar_sha256": file_sha256(d / "h.psck.json")}
+        assert s_side["stage1"] == h_side["config"]
+        s_tables = ad.load_checkpoint(d / "s.psck")
+        for key, arr in ad.load_checkpoint(d / "h.psck").items():
+            assert s_tables[f"stage1.{key}"].tobytes() == arr.tobytes(), key
 
     def test_predict_and_eval_next_read_stage1_grids(self, corpus_dir, stage1_run,
                                                      tmp_path, monkeypatch):
@@ -579,29 +623,35 @@ class TestStage1Checkpoint:
             assert np.array_equal(f2x, want[0].astype(np.float32))
             assert np.array_equal(f10x, want[1].astype(np.float32))
 
+    def test_stage2_pair_needs_no_stage1_file(self, corpus_dir, stage1_run, tmp_path):
+        """predict (both modes) and eval-next write the same bytes from a copy
+        of the stage-2 pair alone as from the training directory."""
+        d, _, _ = stage1_run
+        alone = tmp_path / "alone"
+        alone.mkdir()
+        for name in ("s.psck", "s.psck.json"):
+            shutil.copyfile(d / name, alone / name)
+        outs = []
+        for where in (d, alone):
+            ckpt, out = str(where / "s.psck"), tmp_path / where.name
+            for mode in ("probmag", "priormag"):
+                assert run("predict", "--ckpt", ckpt, "--corpus", str(corpus_dir),
+                           "--wsi", "wsi_000", "--mode", mode, "--n", "3", "--seed", "3",
+                           "--out", f"{out}-{mode}.jsonl") == 0
+            assert run("eval-next", "--ckpt", ckpt, "--corpus", str(corpus_dir),
+                       "--gt", str(corpus_dir / "scanpaths.jsonl"),
+                       "--report", f"{out}-next.csv") == 0
+            outs.append([Path(f"{out}-{f}").read_bytes()
+                         for f in ("probmag.jsonl", "priormag.jsonl", "next.csv")])
+        assert outs[0] == outs[1]
+
     @pytest.mark.parametrize("fault, message", [
-        ("stage-1 changed", "is missing or changed"),
-        ("stage-1 removed", "is missing or changed"),
-        ("stage-1 heads edited", "h.psck.json is missing or changed"),
         ("no sidecar", "s.psck.json"),
     ])
     def test_missing_or_changed_file_exits_3(self, corpus_dir, stage1_run, tmp_path,
                                              fault, message, capsys):
         d, _, _ = stage1_run
-        for name in ("h.psck", "h.psck.json", "s.psck", "s.psck.json"):
-            shutil.copyfile(d / name, tmp_path / name)
-        h = tmp_path / "h.psck"
-        if fault == "stage-1 changed":
-            h.write_bytes(h.read_bytes() + b"\0")
-        elif fault == "stage-1 removed":
-            h.unlink()
-        elif fault == "stage-1 heads edited":
-            side = tmp_path / "h.psck.json"
-            rec = json.loads(side.read_text())
-            rec["config"]["heads"] = 2
-            side.write_text(json.dumps(rec))
-        else:
-            (tmp_path / "s.psck.json").unlink()
+        shutil.copyfile(d / "s.psck", tmp_path / "s.psck")  # without its sidecar
         ckpt = str(tmp_path / "s.psck")
         assert run("predict", "--ckpt", ckpt, "--corpus", str(corpus_dir), "--wsi",
                    "wsi_000", "--n", "3", "--out", str(tmp_path / "p.jsonl")) == 3
@@ -615,17 +665,13 @@ class TestStage1Checkpoint:
     def test_mistyped_sidecar_value_exits_3(self, corpus_dir, stage1_run, tmp_path,
                                             stage, heads, capsys):
         d, _, _ = stage1_run
-        for name in ("h.psck", "h.psck.json", "s.psck", "s.psck.json"):
+        for name in ("s.psck", "s.psck.json"):
             shutil.copyfile(d / name, tmp_path / name)
-        side = tmp_path / f"{stage}.psck.json"
+        # the stage-2 sidecar holds both configs: stage 1's is its stage1 entry
+        side = tmp_path / "s.psck.json"
         rec = json.loads(side.read_text())
-        rec["config"]["heads"] = heads
+        rec["stage1" if stage == "h" else "config"]["heads"] = heads
         side.write_text(json.dumps(rec))
-        if stage == "h":  # keep the stage-2 sidecar's hash of it current
-            s_side = tmp_path / "s.psck.json"
-            rec = json.loads(s_side.read_text())
-            rec["stage1"]["sidecar_sha256"] = file_sha256(side)
-            s_side.write_text(json.dumps(rec))
         ckpt = str(tmp_path / "s.psck")
         assert run("predict", "--ckpt", ckpt, "--corpus", str(corpus_dir), "--wsi",
                    "wsi_000", "--n", "3", "--out", str(tmp_path / "p.jsonl")) == 3
@@ -635,6 +681,47 @@ class TestStage1Checkpoint:
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 2
         assert all(f"{side}: config key heads must be int" in line for line in err)
+
+    @pytest.mark.parametrize("fault", list(TABLE_FAULTS))
+    def test_table_that_is_not_the_sidecars_model_exits_3(
+            self, corpus_dir, stage1_run, tmp_path, fault, capsys):
+        """Each loader rebuilds the tensor names and shapes from the sidecar's
+        config and names the first tensor that differs."""
+        d, _, _ = stage1_run
+        for name in ("h.psck", "h.psck.json", "s.psck", "s.psck.json"):
+            shutil.copyfile(d / name, tmp_path / name)
+        side = tmp_path / "s.psck.json"
+        rec = json.loads(side.read_text())
+        edits = {"enc_layers 1 to 2": ("config", "enc_layers", 2),
+                 "stage-1 layers 1 to 2": ("stage1", "layers", 2),
+                 "dec_layers 1 to 0": ("config", "dec_layers", 0),
+                 "model_dim 16 to 32": ("config", "model_dim", 32)}
+        if fault in edits:
+            entry, key, value = edits[fault]
+            rec[entry][key] = value
+        if fault == "earlier --stage1 format":  # a file reference, no stage-1 tensors
+            rec["stage1"] = {"file": "h.psck", "sha256": "0" * 64,
+                             "sidecar_sha256": "0" * 64}
+            ad.save_checkpoint(tmp_path / "s.psck", {
+                k: v for k, v in ad.load_checkpoint(d / "s.psck").items()
+                if not k.startswith("stage1.")})
+        side.write_text(json.dumps(rec))
+        if fault == "stage-2 pair as --stage1":
+            codes = [run("train-scanpath", "--corpus", str(corpus_dir), "--config",
+                         str(d / "s2.cfg"), "--stage1", str(tmp_path / "s.psck"),
+                         "--out", str(tmp_path / "x.psck"))]
+        else:
+            ckpt = str(tmp_path / ("h.psck" if fault == "stage-1 pair as --ckpt"
+                                   else "s.psck"))
+            codes = [run("predict", "--ckpt", ckpt, "--corpus", str(corpus_dir), "--wsi",
+                         "wsi_000", "--n", "3", "--out", str(tmp_path / "p.jsonl")),
+                     run("eval-next", "--ckpt", ckpt, "--corpus", str(corpus_dir),
+                         "--gt", str(corpus_dir / "scanpaths.jsonl"),
+                         "--report", str(tmp_path / "next.csv"))]
+        assert set(codes) == {3}
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == len(codes)
+        assert all(TABLE_FAULTS[fault] in line for line in err)
 
     def test_earlier_sidecar_format_loads_to_the_same_config(self, stage1_run,
                                                              tmp_path):

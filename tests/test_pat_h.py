@@ -7,7 +7,6 @@ import pathscan.autodiff as ad
 import pathscan.pat_h as pat_h
 from pathscan.errors import DegenerateInputError, InvalidInputError, ShapeError
 from pathscan.features import FeatureGrid
-from pathscan.io import write_sidecar
 from pathscan.pat_h import HeatmapModelConfig
 from pathscan.trajectory import Fixation, MagLevel
 
@@ -201,8 +200,7 @@ class TestTraining:
         config = tiny_config(epochs=2)
         models, _ = pat_h.train_heatmap(self.make_corpus(), config)
         path = tmp_path / "h.psck"
-        pat_h.save_heatmap_models(path, models)
-        write_sidecar(path, config)
+        pat_h.save_heatmap_models(path, models, config)
         loaded, loaded_config = pat_h.load_heatmap_models(path)
         assert loaded_config == config
         assert set(loaded) == {1}
