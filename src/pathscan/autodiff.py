@@ -3,8 +3,11 @@
 Just enough ops to build and train both transformer sub-networks.
 Arrays are numpy.  ``nn.init_param`` makes every parameter float32, and
 training stays float32; a float64 build (for gradient checks) is a model
-whose parameters were upcast after init.  Broadcasting is limited to what the networks need (leading
-batch dimensions); every op checks the result for NaN/Inf.
+whose parameters were upcast after init.  Broadcasting is limited to
+what the networks need (leading batch dimensions).  Every op checks its
+result for NaN/Inf.  The fused nodes ``affine`` (``x @ W + b``) and
+``attention`` (multi-head scaled dot-product attention) check their
+output, and ``attention`` its scores too, but not every internal array.
 
 Dtype rule: an op's output and every gradient keep the dtype of the
 tensors it is given.  A constant (a Python float, a numpy scalar or an
@@ -144,6 +147,75 @@ def matmul(a, b) -> Tensor:
         return ga, gb
 
     return _make(data, (a, b), backward)
+
+
+def affine(x, W: Tensor, b: Tensor) -> Tensor:
+    """``x @ W + b`` as one node; an array ``x`` takes W's dtype."""
+    x = _as_tensor(x, W)
+    if x.data.ndim < 2 or W.data.ndim < 2:
+        raise ShapeError("affine requires >= 2-D operands")
+    try:
+        data = x.data @ W.data
+        data += b.data
+    except ValueError as e:
+        raise ShapeError(str(e)) from None
+
+    def backward(g):
+        gx = (_unbroadcast(g @ np.swapaxes(W.data, -1, -2), x.shape)
+              if x.requires_grad else None)  # an input array needs no gradient
+        return (gx, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, W.shape),
+                _unbroadcast(g, b.shape))
+
+    return _make(data, (x, W, b), backward)
+
+
+def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
+    """Multi-head scaled dot-product attention as one node.
+
+    ``q`` is (m, C), ``k`` and ``v`` are (n, C); each of ``heads`` heads
+    attends over its C // heads columns, and the result is the (m, C)
+    context with the heads merged back.  Forward and backward work on the
+    (heads, m, n) block in place, in the layouts and order of the composed
+    ``matmul``/``scale``/``softmax``/``reshape``/``transpose`` graph, so
+    they give its bytes.  A non-finite score raises NumericError before
+    the exponent.
+    """
+    if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape:
+        raise ShapeError(f"attention needs (m, C) q and equal (n, C) k and v, got "
+                         f"{q.shape}, {k.shape} and {v.shape}")
+    (m, dim), n = q.shape, k.shape[0]
+    if k.shape[1] != dim or dim % heads:
+        raise ShapeError(f"{heads} heads over q of {dim} and k of {k.shape[1]} columns")
+    dh = dim // heads
+    s = float(1.0 / np.sqrt(dh))
+
+    def split(a: np.ndarray, length: int) -> np.ndarray:
+        return a.reshape(length, heads, dh).transpose(1, 0, 2)  # (heads, length, dh)
+
+    def merge(a: np.ndarray, length: int) -> np.ndarray:
+        return a.transpose(1, 0, 2).reshape(length, dim)
+
+    qh, kh, vh = split(q.data, m), split(k.data, n), split(v.data, n)
+    attn = qh @ kh.transpose(0, 2, 1)
+    attn *= s
+    top = attn.max(axis=-1, keepdims=True)
+    if TRAP_NONFINITE and not (np.all(np.isfinite(top)) and np.isfinite(attn.min())):
+        raise NumericError("attention scores hold non-finite values")
+    attn -= top
+    np.exp(attn, out=attn)
+    attn /= attn.sum(axis=-1, keepdims=True)
+
+    def backward(g):
+        gh = split(g, m)
+        gs = gh @ np.swapaxes(vh, -1, -2)
+        gv = np.swapaxes(attn, -1, -2) @ gh
+        gs -= (gs * attn).sum(axis=-1, keepdims=True)
+        gs *= attn
+        gs *= s
+        gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 2, 1)
+        return merge(gs @ kh, m), merge(gk, n), merge(gv, n)
+
+    return _make(merge(attn @ vh, m), (q, k, v), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:

@@ -44,7 +44,7 @@ def init_linear(params: dict, name: str, din: int, dout: int, rng: np.random.Gen
 
 def linear(params: dict, name: str, x: ad.Tensor | np.ndarray) -> ad.Tensor:
     """x @ W + b; an array ``x`` is cast to the parameters' dtype."""
-    return ad.add(ad.matmul(x, params[f"{name}.W"]), params[f"{name}.b"])
+    return ad.affine(x, params[f"{name}.W"], params[f"{name}.b"])
 
 
 def init_attention(params: dict, prefix: str, dim: int, rng: np.random.Generator):
@@ -54,23 +54,13 @@ def init_attention(params: dict, prefix: str, dim: int, rng: np.random.Generator
 
 def attention(params: dict, prefix: str, q_in: ad.Tensor, kv_in: ad.Tensor,
               heads: int) -> ad.Tensor:
-    """Multi-head attention; self-attention when q_in is kv_in."""
-    dim = q_in.shape[-1]
-    dh = dim // heads
-    m, n = q_in.shape[0], kv_in.shape[0]
-
-    def split(t: ad.Tensor, length: int) -> ad.Tensor:
-        t = ad.reshape(t, (length, heads, dh))
-        return ad.transpose(t, (1, 0, 2))  # (heads, length, dh)
-
-    q = split(linear(params, f"{prefix}.q", q_in), m)
-    k = split(linear(params, f"{prefix}.k", kv_in), n)
-    v = split(linear(params, f"{prefix}.v", kv_in), n)
-    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
-    attn = ad.softmax(scores, axis=-1)
-    ctx = ad.matmul(attn, v)  # (heads, m, dh)
-    ctx = ad.reshape(ad.transpose(ctx, (1, 0, 2)), (m, dim))
-    return linear(params, f"{prefix}.o", ctx)
+    """Multi-head attention; self-attention when q_in is kv_in.  Projects
+    q_in to queries and kv_in to keys and values, attends with the one
+    ``ad.attention`` node over ``heads`` heads, and projects its context."""
+    q = linear(params, f"{prefix}.q", q_in)
+    k = linear(params, f"{prefix}.k", kv_in)
+    v = linear(params, f"{prefix}.v", kv_in)
+    return linear(params, f"{prefix}.o", ad.attention(q, k, v, heads))
 
 
 def init_ffn(params: dict, prefix: str, dim: int, rng: np.random.Generator):

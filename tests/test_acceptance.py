@@ -157,6 +157,14 @@ def test_criterion_3_gradient_integrity(capsys):
     fd_check(lambda t: ad.sum_(ad.mul(ad.embedding_lookup(t, [0, 2, 2, 1]),
                                       np.arange(16.0).reshape(4, 4))),
              R.random((3, 4)))
+    fused = np.random.default_rng(3)  # its own draws leave R's stream as it was
+    fd_check(lambda x, W, b: ad.sum_(ad.mul(ad.affine(x, W, b),
+                                            np.arange(6.0).reshape(3, 2))),
+             fused.random((3, 4)), fused.random((4, 2)), fused.random(2))
+    fd_check(lambda q, k, v: ad.sum_(ad.mul(ad.attention(q, k, v, 2),
+                                            np.arange(12.0).reshape(3, 4))),
+             fused.standard_normal((3, 4)), fused.standard_normal((5, 4)),
+             fused.standard_normal((5, 4)))
 
     # losses
     gt_map = R.random((4, 4))

@@ -1,3 +1,5 @@
+import warnings
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -221,7 +223,107 @@ def every_op(t: ad.Tensor, c, k: float) -> list[ad.Tensor]:
         ad.log(pos), ad.clamp(t, -0.5, 0.5), ad.sigmoid(t), ad.gelu(t),
         ad.softmax(t, axis=-1), ad.layernorm(t),
         ad.embedding_lookup(t, [rows - 1, 0, rows - 1]),
+        ad.affine(t, ad.transpose(t), ad.sum_(t, axis=1)),
+        ad.affine(np.full((2, rows), k), t, t[0]), ad.attention(t, t, t, 1),
     ]
+
+
+def composed_attention(q, k, v, heads):
+    """The graph ``ad.attention`` replaces: split heads, scaled scores, softmax,
+    weighted values, merged heads."""
+    (m, dim), n = q.shape, k.shape[0]
+    dh = dim // heads
+
+    def split(t, length):
+        return ad.transpose(ad.reshape(t, (length, heads, dh)), (1, 0, 2))
+
+    q, k, v = split(q, m), split(k, n), split(v, n)
+    scores = ad.scale(ad.matmul(q, ad.transpose(k, (0, 2, 1))), 1.0 / np.sqrt(dh))
+    ctx = ad.matmul(ad.softmax(scores, axis=-1), v)
+    return ad.reshape(ad.transpose(ctx, (1, 0, 2)), (m, dim))
+
+
+def composed_affine(x, W, b):
+    return ad.add(ad.matmul(x, W), b)
+
+
+def outputs_and_grads(fn, arrays, weight, *args):
+    """fn's output and the gradients of sum(output * weight) for each array."""
+    ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
+    out = fn(*ts, *args)
+    ad.backward(ad.sum_(ad.mul(out, weight)))
+    return [out.data] + [t.grad for t in ts]
+
+
+class TestFusedNodes:
+    """``affine`` and ``attention`` against the composed graphs they replace."""
+
+    @pytest.mark.parametrize("n", [1, 9, 300, 832])
+    @pytest.mark.parametrize("dim, heads", [(16, 1), (16, 2), (16, 4), (32, 1), (32, 2),
+                                            (32, 4)])
+    def test_attention_float32_bytes_equal_composed(self, dim, heads, n):
+        rng = np.random.default_rng(dim * n + heads)
+        for m in sorted({1, n}):
+            arrays = [rng.standard_normal(s).astype(np.float32)
+                      for s in ((m, dim), (n, dim), (n, dim))]
+            weight = rng.standard_normal((m, dim)).astype(np.float32)
+            want = outputs_and_grads(composed_attention, arrays, weight, heads)
+            got = outputs_and_grads(ad.attention, arrays, weight, heads)
+            assert all(g.dtype == np.float32 and np.array_equal(g, w)
+                       for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("shape", [(1, 16, 16), (257, 16, 32), (832, 32, 128)])
+    def test_affine_float32_bytes_equal_composed(self, shape):
+        m, din, dout = shape
+        rng = np.random.default_rng(m)
+        arrays = [rng.standard_normal(s).astype(np.float32)
+                  for s in ((m, din), (din, dout), (dout,))]
+        weight = rng.standard_normal((m, dout)).astype(np.float32)
+        want = outputs_and_grads(composed_affine, arrays, weight)
+        got = outputs_and_grads(ad.affine, arrays, weight)
+        assert all(g.dtype == np.float32 and np.array_equal(g, w)
+                   for g, w in zip(got, want))
+
+    @settings(max_examples=60, deadline=None)
+    @given(heads=st.integers(1, 4), dh=st.integers(1, 5), m=st.integers(1, 7),
+           n=st.integers(1, 9), seed=st.integers(0, 2 ** 16))
+    def test_float64_agrees_with_composed(self, heads, dh, m, n, seed):
+        rng = np.random.default_rng(seed)
+        dim = heads * dh
+        arrays = [rng.standard_normal(s) for s in ((m, dim), (n, dim), (n, dim))]
+        weight = rng.standard_normal((m, dim))
+        pairs = zip(outputs_and_grads(ad.attention, arrays, weight, heads),
+                    outputs_and_grads(composed_attention, arrays, weight, heads))
+        assert all(np.abs(g - w).max() <= 1e-12 for g, w in pairs)
+        arrays = [rng.standard_normal(s) for s in ((m, dim), (dim, n), (n,))]
+        weight = rng.standard_normal((m, n))
+        pairs = zip(outputs_and_grads(ad.affine, arrays, weight),
+                    outputs_and_grads(composed_affine, arrays, weight))
+        assert all(np.abs(g - w).max() <= 1e-12 for g, w in pairs)
+
+    def test_attention_shape_errors(self):
+        q, kv = ad.Tensor(np.ones((2, 6))), ad.Tensor(np.ones((3, 6)))
+        with pytest.raises(ShapeError):
+            ad.attention(q, kv, kv, 4)  # 6 columns do not split into 4 heads
+        with pytest.raises(ShapeError):
+            ad.attention(q, kv, ad.Tensor(np.ones((4, 6))), 2)
+        with pytest.raises(ShapeError):
+            ad.attention(q, kv, ad.Tensor(np.ones((3, 4))), 2)
+
+    @pytest.mark.parametrize("row", [[1.0] * 4, [-1.0] * 4, [1.0, -1.0] * 2],
+                             ids=["inf", "-inf", "nan"])
+    def test_nonfinite_score_raises_before_the_exponent(self, row):
+        """Finite float32 inputs whose scores overflow to inf, -inf or NaN
+        raise NumericError with no warning of an invalid value."""
+        big = np.float32(1e20)
+        k = np.ones((3, 4), dtype=np.float32)
+        k[1] = np.array(row, dtype=np.float32) * big
+        q, k, v = ad.Tensor(np.full((2, 4), big)), ad.Tensor(k), ad.Tensor(np.ones_like(k))
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+            with pytest.raises(NumericError):
+                ad.attention(q, k, v, 2)
 
 
 class TestDtypeRule:

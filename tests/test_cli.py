@@ -3,6 +3,7 @@ import dataclasses
 import json
 import shutil
 import typing
+import warnings
 import xml.etree.ElementTree as ET
 from pathlib import Path
 
@@ -263,6 +264,19 @@ def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     if want and argv.startswith("gen"):
         assert not [p for p in (tmp_path / "g").glob("**/*") if p.is_file()]
+
+
+def test_numeric_failure_computes_nothing_through_inf(corpus_dir, tmp_path):
+    """``lr = 1e30`` exits 4 before any kernel takes an inf or NaN in: numpy
+    warns only where a value first overflows, never of an invalid value."""
+    (tmp_path / "x.cfg").write_text(
+        "epochs = 1\nlr = 1e30\ndim = 16\nmodel_dim = 16\nheads = 2\n")
+    with warnings.catch_warnings(record=True) as seen:
+        warnings.simplefilter("always")
+        code = run(*TRAIN_S.format(c=corpus_dir, t=tmp_path).split())
+    assert code == 4
+    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)
+            and not str(w.message).startswith("overflow")] == []
 
 
 def test_readme_config_table_matches_the_config_dataclasses():
