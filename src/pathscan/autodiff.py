@@ -4,10 +4,17 @@ Just enough ops to build and train both transformer sub-networks.
 Arrays are numpy.  ``nn.init_param`` makes every parameter float32, and
 training stays float32; a float64 build (for gradient checks) is a model
 whose parameters were upcast after init.  Broadcasting is limited to
-what the networks need (leading batch dimensions).  Every op checks its
-result for NaN/Inf.  The fused nodes ``affine`` (``x @ W + b``) and
-``attention`` (multi-head scaled dot-product attention) check their
-output, and ``attention`` its scores too, but not every internal array.
+what the networks need (leading batch dimensions).  Every tensor checks
+its values for NaN/Inf when it is made.  The fused nodes ``affine``
+(``x @ W + b``), ``attention`` (multi-head scaled dot-product attention)
+and ``add_embeddings`` (a sum of embedding lookups) check their output,
+and ``attention`` its scores too, but not every internal array; each
+gives the bytes of the composed ops it replaces.  ``node`` makes an op's
+result, and lets other modules define fused nodes (the stage-2 losses).
+
+``adam_step`` updates every parameter with one pass over a flat buffer
+and points each parameter at a view of the new values; it never writes
+into an existing parameter array.
 
 Dtype rule: an op's output and every gradient keep the dtype of the
 tensors it is given.  A constant (a Python float, a numpy scalar or an
@@ -40,12 +47,12 @@ class Tensor:
     __slots__ = ("data", "requires_grad", "grad", "_parents", "_backward")
 
     def __init__(self, data, requires_grad: bool = False, _parents=(), _backward=None):
-        self.data = np.asarray(data)
+        self.data = data if type(data) is np.ndarray else np.asarray(data)
         self.requires_grad = requires_grad
         self.grad = None
         self._parents = _parents
         self._backward = _backward
-        if TRAP_NONFINITE and not np.all(np.isfinite(self.data)):
+        if TRAP_NONFINITE and not np.isfinite(self.data).all():
             raise NumericError("tensor holds non-finite values")
 
     @property
@@ -73,11 +80,16 @@ def _as_tensor(x, like=None) -> Tensor:
     return Tensor(np.asarray(x, dtype=dtype))
 
 
-def _make(data, parents, backward) -> Tensor:
-    req = any(p.requires_grad for p in parents)
-    return Tensor(data, requires_grad=req,
-                  _parents=tuple(parents) if req else (),
-                  _backward=backward if req else None)
+def node(data, parents, backward) -> Tensor:
+    """An op's result: ``data`` computed from the tensors ``parents``, and
+    ``backward(g)``, which returns one gradient (or None) per parent for the
+    result's gradient ``g``. It records the graph only when a parent
+    requires a gradient; fused nodes outside this module are made here."""
+    for p in parents:
+        if p.requires_grad:
+            return Tensor(data, requires_grad=True, _parents=tuple(parents),
+                          _backward=backward)
+    return Tensor(data)
 
 
 def _unbroadcast(grad: np.ndarray, shape: tuple) -> np.ndarray:
@@ -103,7 +115,7 @@ def add(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(g, b.shape)
 
-    return _make(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def sub(a, b) -> Tensor:
@@ -116,7 +128,7 @@ def sub(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g, a.shape), _unbroadcast(-g, b.shape)
 
-    return _make(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def mul(a, b) -> Tensor:
@@ -129,7 +141,7 @@ def mul(a, b) -> Tensor:
     def backward(g):
         return _unbroadcast(g * b.data, a.shape), _unbroadcast(g * a.data, b.shape)
 
-    return _make(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def matmul(a, b) -> Tensor:
@@ -146,7 +158,7 @@ def matmul(a, b) -> Tensor:
         gb = _unbroadcast(np.swapaxes(a.data, -1, -2) @ g, b.shape)
         return ga, gb
 
-    return _make(data, (a, b), backward)
+    return node(data, (a, b), backward)
 
 
 def affine(x, W: Tensor, b: Tensor) -> Tensor:
@@ -166,7 +178,7 @@ def affine(x, W: Tensor, b: Tensor) -> Tensor:
         return (gx, _unbroadcast(np.swapaxes(x.data, -1, -2) @ g, W.shape),
                 _unbroadcast(g, b.shape))
 
-    return _make(data, (x, W, b), backward)
+    return node(data, (x, W, b), backward)
 
 
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
@@ -215,7 +227,7 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 2, 1)
         return merge(gs @ kh, m), merge(gk, n), merge(gv, n)
 
-    return _make(merge(attn @ vh, m), (q, k, v), backward)
+    return node(merge(attn @ vh, m), (q, k, v), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:
@@ -226,7 +238,7 @@ def transpose(a: Tensor, axes=None) -> Tensor:
     def backward(g):
         return (g.transpose(inv),)
 
-    return _make(a.data.transpose(axes), (a,), backward)
+    return node(a.data.transpose(axes), (a,), backward)
 
 
 def reshape(a: Tensor, shape) -> Tensor:
@@ -240,7 +252,7 @@ def reshape(a: Tensor, shape) -> Tensor:
     def backward(g):
         return (g.reshape(old),)
 
-    return _make(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def concat(tensors, axis: int = 0) -> Tensor:
@@ -254,7 +266,7 @@ def concat(tensors, axis: int = 0) -> Tensor:
     def backward(g):
         return tuple(np.split(g, np.cumsum(sizes)[:-1], axis=axis))
 
-    return _make(data, ts, backward)
+    return node(data, ts, backward)
 
 
 def tslice(a: Tensor, key) -> Tensor:
@@ -266,7 +278,7 @@ def tslice(a: Tensor, key) -> Tensor:
         np.add.at(full, key, g)
         return (full,)
 
-    return _make(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -278,7 +290,7 @@ def sum_(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
             g = np.expand_dims(g, axis)
         return (np.broadcast_to(g, a.shape).copy(),)
 
-    return _make(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def mean(a: Tensor, axis=None, keepdims: bool = False) -> Tensor:
@@ -293,7 +305,7 @@ def scale(a: Tensor, s: float) -> Tensor:
     def backward(g):
         return (g * s,)
 
-    return _make(a.data * s, (a,), backward)
+    return node(a.data * s, (a,), backward)
 
 
 def pow_const(a: Tensor, p: float) -> Tensor:
@@ -303,7 +315,7 @@ def pow_const(a: Tensor, p: float) -> Tensor:
     def backward(g):
         return (g * p * a.data ** (p - 1.0),)
 
-    return _make(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def log(a: Tensor) -> Tensor:
@@ -314,7 +326,7 @@ def log(a: Tensor) -> Tensor:
     def backward(g):
         return (g / a.data,)
 
-    return _make(np.log(a.data), (a,), backward)
+    return node(np.log(a.data), (a,), backward)
 
 
 def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
@@ -326,7 +338,7 @@ def clamp(a: Tensor, lo: float, hi: float) -> Tensor:
     def backward(g):
         return (g * inside,)
 
-    return _make(data, (a,), backward)
+    return node(data, (a,), backward)
 
 
 def sigmoid(a: Tensor) -> Tensor:
@@ -339,7 +351,7 @@ def sigmoid(a: Tensor) -> Tensor:
     def backward(g):
         return (g * out * (1.0 - out),)
 
-    return _make(out, (a,), backward)
+    return node(out, (a,), backward)
 
 
 _GELU_C = float(np.sqrt(2.0 / np.pi))
@@ -356,7 +368,7 @@ def gelu(a: Tensor) -> Tensor:
         dinner = _GELU_C * (1.0 + 3 * 0.044715 * x ** 2)
         return (g * (0.5 * (1.0 + t) + 0.5 * x * (1.0 - t ** 2) * dinner),)
 
-    return _make(out, (a,), backward)
+    return node(out, (a,), backward)
 
 
 def softmax(a: Tensor, axis: int = -1) -> Tensor:
@@ -369,41 +381,75 @@ def softmax(a: Tensor, axis: int = -1) -> Tensor:
         dot = (g * out).sum(axis=axis, keepdims=True)
         return (out * (g - dot),)
 
-    return _make(out, (a,), backward)
+    return node(out, (a,), backward)
 
 
 def layernorm(a: Tensor) -> Tensor:
-    """Normalize the last axis to zero mean, unit variance (+1e-5 under the root)."""
+    """Normalize the last axis to zero mean, unit variance (+1e-5 under the root).
+
+    Each mean is ``sum(axis=-1) / n``, the operations ``np.mean`` and
+    ``np.var`` run, so the bytes are theirs.
+    """
     a = _as_tensor(a)
-    mu = a.data.mean(axis=-1, keepdims=True)
-    var = a.data.var(axis=-1, keepdims=True)
+    n = a.shape[-1]
+    c = a.data - a.data.sum(axis=-1, keepdims=True) / n
+    var = (c * c).sum(axis=-1, keepdims=True) / n
     inv = 1.0 / np.sqrt(var + 1e-5)
-    y = (a.data - mu) * inv
+    y = c * inv
 
     def backward(g):
-        gy = g
-        gmean = gy.mean(axis=-1, keepdims=True)
-        gydoty = (gy * y).mean(axis=-1, keepdims=True)
-        return (inv * (gy - gmean - y * gydoty),)
+        gmean = g.sum(axis=-1, keepdims=True) / n
+        gydoty = (g * y).sum(axis=-1, keepdims=True) / n
+        return (inv * (g - gmean - y * gydoty),)
 
-    return _make(y, (a,), backward)
+    return node(y, (a,), backward)
+
+
+def _rows(table: Tensor, indices) -> np.ndarray:
+    """``indices`` as int64 after checking that each is a row of ``table``."""
+    idx = np.asarray(indices, dtype=np.int64)
+    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
+        raise ShapeError("embedding index out of range")
+    return idx
+
+
+def _scatter_rows(g: np.ndarray, table: Tensor, idx: np.ndarray) -> np.ndarray:
+    """The gradient of ``table`` for ``g`` of ``table.data[idx]``: repeated rows
+    scatter-add through one bincount over flat (row, column) slots."""
+    n_rows, width = table.shape[0], table.data[0].size
+    slots = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
+    full = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
+    return full.reshape(table.shape).astype(table.data.dtype, copy=False)
 
 
 def embedding_lookup(table: Tensor, indices) -> Tensor:
     table = _as_tensor(table)
-    idx = np.asarray(indices, dtype=np.int64)
-    if idx.size and (idx.min() < 0 or idx.max() >= table.shape[0]):
-        raise ShapeError("embedding index out of range")
-    data = table.data[idx]
+    idx = _rows(table, indices)
 
     def backward(g):
-        # scatter-add of repeated rows: one bincount over flat (row, column) slots
-        n_rows, width = table.shape[0], table.data[0].size
-        slots = (idx.reshape(-1, 1) * width + np.arange(width)).reshape(-1)
-        full = np.bincount(slots, weights=g.reshape(-1), minlength=n_rows * width)
-        return (full.reshape(table.shape).astype(table.data.dtype, copy=False),)
+        return (_scatter_rows(g, table, idx),)
 
-    return _make(data, (table,), backward)
+    return node(table.data[idx], (table,), backward)
+
+
+def add_embeddings(x: Tensor, lookups) -> Tensor:
+    """``x`` plus the rows ``table.data[indices]`` of each ``(table, indices)``
+    pair of ``lookups``, added left to right as one node: the bytes of a
+    chain of ``add(·, embedding_lookup(table, indices))``. The rows of
+    each lookup must have ``x``'s shape."""
+    x = _as_tensor(x)
+    pairs = [(t, _rows(t, i)) for t, i in lookups]
+    data = x.data
+    for table, idx in pairs:
+        rows = table.data[idx]
+        if rows.shape != x.shape:
+            raise ShapeError(f"embedding rows of shape {rows.shape} added to {x.shape}")
+        data = data + rows
+
+    def backward(g):
+        return (g, *(_scatter_rows(g, table, idx) for table, idx in pairs))
+
+    return node(data, (x, *(t for t, _ in pairs)), backward)
 
 
 # ---------------------------------------------------------------- backward
@@ -421,28 +467,28 @@ def backward(loss: Tensor):
     seen: set[int] = set()
     stack = [(loss, False)]
     while stack:
-        node, processed = stack.pop()
+        t, processed = stack.pop()
         if processed:
-            topo.append(node)
+            topo.append(t)
             continue
-        if id(node) in seen:
+        if id(t) in seen:
             continue
-        seen.add(id(node))
-        stack.append((node, True))
-        for p in node._parents:
+        seen.add(id(t))
+        stack.append((t, True))
+        for p in t._parents:
             if p.requires_grad and id(p) not in seen:
                 stack.append((p, False))
 
     grads: dict[int, np.ndarray] = {id(loss): np.ones_like(loss.data)}
-    for node in reversed(topo):
-        g = grads.pop(id(node), None)
+    for t in reversed(topo):
+        g = grads.pop(id(t), None)
         if g is None:
             continue
-        if node._backward is None:
-            node.grad = g.copy() if node.grad is None else node.grad + g
+        if t._backward is None:
+            t.grad = g.copy() if t.grad is None else t.grad + g
             continue
-        parent_grads = node._backward(g)
-        for p, pg in zip(node._parents, parent_grads):
+        parent_grads = t._backward(g)
+        for p, pg in zip(t._parents, parent_grads):
             if not p.requires_grad:
                 continue
             if id(p) in grads:
@@ -462,29 +508,70 @@ ADAM_BETA1, ADAM_BETA2, ADAM_EPS = 0.9, 0.999, 1e-8
 
 
 class AdamState:
+    """The step count and moments of ``adam_step``.
+
+    ``m`` and ``v`` are flat buffers laid out as ``layout`` (name → size,
+    in order), the tensors that had a gradient at the last step.
+    ``parked`` keeps the (m, v) of tensors that had one before but not then.
+    """
+
     def __init__(self):
         self.t = 0
-        self.m: dict[str, np.ndarray] = {}
-        self.v: dict[str, np.ndarray] = {}
+        self.layout: dict[str, int] = {}
+        self.m = self.v = np.zeros(0)
+        self.parked: dict[str, tuple[np.ndarray, np.ndarray]] = {}
+
+    def relayout(self, live: list[tuple[str, Tensor]]):
+        """Lay ``m`` and ``v`` out over the (name, tensor) pairs ``live``,
+        each with the moments it had (zeros for a tensor new to the state)."""
+        moments = dict(self.parked)
+        off = 0
+        for name, n in self.layout.items():
+            moments[name] = (self.m[off:off + n], self.v[off:off + n])
+            off += n
+        self.layout = {k: p.data.size for k, p in live}
+        self.parked = {k: mv for k, mv in moments.items() if k not in self.layout}
+        pairs = [moments.get(k) or (np.zeros(p.data.size, p.data.dtype),) * 2
+                 for k, p in live]
+        self.m = np.concatenate([m for m, _ in pairs])
+        self.v = np.concatenate([v for _, v in pairs])
 
 
-def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 1e-3):
-    """Standard Adam update in place (ADAM_BETA1, ADAM_BETA2, ADAM_EPS);
-    tensors with grad=None are skipped."""
+def adam_step(params: dict[str, Tensor], state: AdamState, lr: float = 1e-3) -> float:
+    """One Adam update (ADAM_BETA1, ADAM_BETA2, ADAM_EPS) of every tensor
+    that has a gradient; a tensor with grad=None keeps its value and its
+    moments. Returns the global L2 norm of the gradient applied.
+
+    The gradients and values are concatenated into flat buffers, the update
+    runs once over them, and each updated tensor's ``data`` becomes a view
+    of the new values. Nothing is updated in place, so an array taken from
+    ``p.data`` before the step keeps its values. Parameters and gradients
+    must share one dtype; a mix raises ContractError rather than upcast.
+    """
     state.t += 1
     t = state.t
-    for name, p in params.items():
-        if p.grad is None:
-            continue
-        g = p.grad
-        if name not in state.m:
-            state.m[name] = np.zeros_like(p.data)
-            state.v[name] = np.zeros_like(p.data)
-        state.m[name] = ADAM_BETA1 * state.m[name] + (1 - ADAM_BETA1) * g
-        state.v[name] = ADAM_BETA2 * state.v[name] + (1 - ADAM_BETA2) * g * g
-        mhat = state.m[name] / (1 - ADAM_BETA1 ** t)
-        vhat = state.v[name] / (1 - ADAM_BETA2 ** t)
-        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    live = [(k, p) for k, p in params.items() if p.grad is not None]
+    if not live:
+        return 0.0
+    gs = [p.grad.reshape(-1) for _, p in live]
+    xs = [p.data.reshape(-1) for _, p in live]
+    dtypes = {a.dtype for a in gs + xs}
+    if len(dtypes) > 1:
+        raise ContractError(f"adam_step over mixed dtypes {sorted(map(str, dtypes))}")
+    if [k for k, _ in live] != list(state.layout):
+        state.relayout(live)
+    g = np.concatenate(gs)
+    state.m = ADAM_BETA1 * state.m + (1 - ADAM_BETA1) * g
+    state.v = ADAM_BETA2 * state.v + (1 - ADAM_BETA2) * g * g
+    mhat = state.m / (1 - ADAM_BETA1 ** t)
+    vhat = state.v / (1 - ADAM_BETA2 ** t)
+    x = np.concatenate(xs) - lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+    off = 0
+    for _, p in live:
+        n = p.data.size
+        p.data = x[off:off + n].reshape(p.data.shape)
+        off += n
+    return float(np.sqrt(g @ g))
 
 
 # ---------------------------------------------------------------- checkpoint

@@ -154,7 +154,7 @@ def cmd_train_heatmap(args) -> int:
             items.append((grid, gt))
         corpus[mag_idx] = items
 
-    models, curves = pat_h.train_heatmap(corpus, config)
+    models, curves = pat_h.train_heatmap(corpus, config, _progress("train-heatmap"))
     pat_h.save_heatmap_models(args.out, models, config)
     _write_csv(Path(args.out).with_suffix(".loss.csv"), ("mag_index", "epoch", "loss"),
                [(m, e, loss) for m, c in curves.items() for e, loss in enumerate(c)],
@@ -169,7 +169,8 @@ def cmd_train_scanpath(args) -> int:
     stage1 = pat_h.load_heatmap_models(args.stage1) if args.stage1 else None
 
     corpus = [(sp.wsi_id, sp) for sp in scanpaths]
-    params, log = pat_s.train_scanpath(corpus, provider, config, stage1)
+    params, log = pat_s.train_scanpath(corpus, provider, config, stage1,
+                                       _progress("train-scanpath"))
     if any(not np.isfinite(row[3]) for row in log):
         raise NumericError("training loss became non-finite")
     pat_s.save_scanpath_model(args.out, params, config, stage1)
@@ -349,6 +350,16 @@ def _write_csv(path, header, rows, note=""):
         writer = csv.writer(fh, lineterminator="\n")
         writer.writerow(header)
         writer.writerows(rows)
+
+
+def _progress(command: str):
+    """A training ``progress`` callback that prints each epoch's fields to
+    stderr as one ``<command>: <key> <value> ...`` line."""
+    def report(fields: dict):
+        print(f"{command}: " + " ".join(
+            f"{k} {v:.6g}" if isinstance(v, float) else f"{k} {v}"
+            for k, v in fields.items()), file=sys.stderr)
+    return report
 
 
 def _at_least(floor: int):

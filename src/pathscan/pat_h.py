@@ -11,6 +11,7 @@ factor).
 from __future__ import annotations
 
 import re
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -153,9 +154,12 @@ def loss_cc(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
 def train_heatmap(
     corpus: dict[int, list[tuple[FeatureGrid, np.ndarray]]],
     config: HeatmapModelConfig,
+    progress=None,
 ) -> tuple[dict[int, dict[str, ad.Tensor]], dict[int, list[float]]]:
     """Train one model per magnification level the corpus holds, in level
-    order; returns params and loss curves."""
+    order; returns params and loss curves. After each epoch of a level,
+    ``progress`` (if given) receives a dict of its mean loss, mean gradient
+    norm and steps per second."""
     if not corpus or all(not v for v in corpus.values()):
         raise InvalidInputError("empty training corpus")
     models: dict[int, dict[str, ad.Tensor]] = {}
@@ -169,16 +173,21 @@ def train_heatmap(
         params = init_heatmap_params(n_tokens, config, rng)
         state = ad.AdamState()
         losses: list[float] = []
-        for _ in range(config.epochs):
-            total = 0.0
+        for epoch in range(config.epochs):
+            t0 = time.perf_counter()
+            total = norm = 0.0
             for grid, gt in items:
                 ad.zero_grads(params)
                 z = encode(grid, params, config)
                 loss = loss_cc(decode_scores(z, params), gt)
                 ad.backward(loss)
-                ad.adam_step(params, state, lr=config.lr)
+                norm += ad.adam_step(params, state, lr=config.lr)
                 total += loss.item()
             losses.append(total / len(items))
+            if progress:
+                progress({"level": mag_idx, "epoch": f"{epoch + 1}/{config.epochs}",
+                          "loss": losses[-1], "grad_norm": norm / len(items),
+                          "steps_per_s": len(items) / (time.perf_counter() - t0)})
         models[mag_idx] = params
         curves[mag_idx] = losses
     if not models:

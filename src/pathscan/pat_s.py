@@ -11,6 +11,7 @@ dot product on the 10X feature grid) and the next magnification level
 
 from __future__ import annotations
 
+import time
 import warnings
 from dataclasses import dataclass
 
@@ -18,7 +19,8 @@ import numpy as np
 
 from . import autodiff as ad
 from . import io, nn, pat_h
-from .errors import ContractError, InvalidConfigError, InvalidInputError, RangeError, ShapeError
+from .errors import (ContractError, InvalidConfigError, InvalidInputError, NumericError,
+                     RangeError, ShapeError)
 from .features import FeatureGrid, cells_of, tokens_at, xy_of
 from .features import token_at  # noqa: F401  (bench/test_bench.py asserts this binding)
 from .trajectory import MagLevel, Fixation, Scanpath
@@ -104,11 +106,10 @@ def build_memory(
     temp_idx = [0] * n_wsi + [min(n_h - i, TEMPORAL_CAP) for i in range(n_h)]
     mag_idx = [1] * n_wsi + [f.mag.index for f in history]  # wsi tokens are 2X
 
-    mem = ad.add(raw, ad.embedding_lookup(params["pos2x"], pos_idx))
-    mem = ad.add(mem, ad.embedding_lookup(params["scale_emb"], scale_idx))
-    mem = ad.add(mem, ad.embedding_lookup(params["temporal_emb"], temp_idx))
-    mem = ad.add(mem, ad.embedding_lookup(params["mag_emb"], mag_idx))
-    return mem
+    return ad.add_embeddings(raw, [(params["pos2x"], pos_idx),
+                                   (params["scale_emb"], scale_idx),
+                                   (params["temporal_emb"], temp_idx),
+                                   (params["mag_emb"], mag_idx)])
 
 
 def update_memory(
@@ -160,24 +161,43 @@ def predict_mag(cm: np.ndarray, params: dict[str, ad.Tensor]) -> ad.Tensor:
 
 def focal_loss(pred: ad.Tensor, gt: np.ndarray) -> ad.Tensor:
     """Pixel-wise focal loss (exponents FOCAL_GAMMA, FOCAL_BETA) averaged
-    over the map.
+    over the map, as one node.
 
-    gt must contain at least one cell equal to 1 (the target peak).
+    gt must contain at least one cell equal to 1 (the target peak). With
+    p = pred clamped to [1e-7, 1 - 1e-7], a peak cell adds
+    (1 - p)^gamma log p and any other cell (1 - gt)^beta p^gamma log(1 - p).
+    Forward and backward run the operations of the composed
+    ``clamp``/``sub``/``pow_const``/``log``/``mul``/``sum_``/``scale``
+    graph. A cell's gradient has non-zero terms from one of the two cases
+    only, at most two, so their order of summation cannot change its bytes.
     """
     gt = np.asarray(gt, dtype=np.float64)
     if pred.data.shape != gt.shape:
         raise ShapeError("pred/gt shape mismatch")
     if not np.any(gt == 1.0):
         raise ContractError("focal loss requires a gt cell equal to 1")
-    pos = (gt == 1.0).astype(np.float64)
-    neg_w = ((1.0 - gt) ** FOCAL_BETA) * (1.0 - pos)
+    peak = (gt == 1.0).astype(np.float64)
+    dtype = pred.data.dtype
+    pos = peak.astype(dtype)
+    neg_w = (((1.0 - gt) ** FOCAL_BETA) * (1.0 - peak)).astype(dtype)
+    s = -1.0 / gt.size
 
-    p = ad.clamp(pred, 1e-7, 1.0 - 1e-7)
-    one_minus = ad.sub(1.0, p)
-    pos_term = ad.mul(pos, ad.mul(ad.pow_const(one_minus, FOCAL_GAMMA), ad.log(p)))
-    neg_term = ad.mul(neg_w, ad.mul(ad.pow_const(p, FOCAL_GAMMA), ad.log(one_minus)))
-    total = ad.sum_(ad.add(pos_term, neg_term))
-    return ad.scale(total, -1.0 / gt.size)
+    x = pred.data
+    p = np.clip(x, 1e-7, 1.0 - 1e-7)
+    q = 1.0 - p
+    log_p, log_q = np.log(p), np.log(q)
+    q_pow, p_pow = q ** FOCAL_GAMMA, p ** FOCAL_GAMMA
+    total = (pos * (q_pow * log_p) + neg_w * (p_pow * log_q)).sum()
+
+    def backward(g):
+        g = g * s
+        g_pos, g_neg = g * pos, g * neg_w
+        g_q = g_pos * log_p * FOCAL_GAMMA * q ** (FOCAL_GAMMA - 1.0) + g_neg * p_pow / q
+        g_p = (g_pos * q_pow / p + g_neg * log_q * FOCAL_GAMMA * p ** (FOCAL_GAMMA - 1.0)
+               - g_q)
+        return (g_p * ((x > 1e-7) & (x < 1.0 - 1e-7)),)
+
+    return ad.node(np.asarray(total) * s, (pred,), backward)
 
 
 def class_weights(counts: np.ndarray) -> np.ndarray:
@@ -191,14 +211,32 @@ def class_weights(counts: np.ndarray) -> np.ndarray:
 
 
 def mag_loss(pred: ad.Tensor, gt_level: int, weights: np.ndarray) -> ad.Tensor:
-    """Weighted NLL over sigmoid activations renormalized to a distribution."""
+    """Weighted NLL over sigmoid activations renormalized to a distribution,
+    -w[gt] log(pred[gt] / sum(pred)), as one node.
+
+    Forward and backward run the operations of the composed
+    ``sum_``/``tslice``/``pow_const``/``mul``/``log``/``scale`` graph; the
+    sum stays a 0-d array, so its powers take numpy's array path as there.
+    """
     if pred.data.shape != (6,):
         raise ShapeError("magnification activations must have length 6")
     if not 0 <= gt_level <= 5:
         raise RangeError(f"magnification level out of range: {gt_level}")
-    total = ad.sum_(pred)
-    p_gt = ad.mul(pred[gt_level], ad.pow_const(total, -1.0))
-    return ad.scale(ad.log(p_gt), -float(weights[gt_level]))
+    s = -float(weights[gt_level])
+    x = pred.data
+    total = np.asarray(x.sum())
+    inv = total ** -1.0
+    p_gt = x[gt_level] * inv
+    if p_gt <= 0:
+        raise NumericError("log of non-positive value")
+
+    def backward(g):
+        g = g * s / p_gt
+        grad = np.full(6, g * x[gt_level] * -1.0 * total ** -2.0, dtype=x.dtype)
+        grad[gt_level] += g * inv
+        return (grad,)
+
+    return ad.node(np.log(p_gt) * s, (pred,), backward)
 
 
 def total_loss(fix_loss: ad.Tensor, mag_loss_: ad.Tensor) -> ad.Tensor:
@@ -239,12 +277,15 @@ def train_scanpath(
     provider,
     config: ScanpathModelConfig,
     stage1=None,
+    progress=None,
 ) -> tuple[dict[str, ad.Tensor], list[tuple[int, float, float, float]]]:
     """Behavior-clone next-fixation prediction over all scanpath prefixes,
     on the grids ``stage2_grids`` builds with ``stage1``.
 
     Returns the trained parameters and a per-epoch log of
-    (epoch, fixation loss, magnification loss, total loss).
+    (epoch, fixation loss, magnification loss, total loss). After each
+    epoch, ``progress`` (if given) receives a dict of its mean losses,
+    mean gradient norm and examples per second.
     """
     examples = prefix_examples(corpus)
     if not examples:
@@ -267,8 +308,9 @@ def train_scanpath(
 
     order = np.arange(len(examples))
     for epoch in range(config.epochs):
+        t0 = time.perf_counter()
         rng.shuffle(order)
-        tot_fix = tot_mag = 0.0
+        tot_fix = tot_mag = tot_norm = 0.0
         for i in order:
             wsi_id, sp, k = examples[i]
             f2x, f10x = grids[wsi_id]
@@ -286,11 +328,16 @@ def train_scanpath(
             l_mag = mag_loss(mags, target.mag.index, weights)
             loss = total_loss(l_fix, l_mag)
             ad.backward(loss)
-            ad.adam_step(params, state, lr=config.lr)
+            tot_norm += ad.adam_step(params, state, lr=config.lr)
             tot_fix += l_fix.item()
             tot_mag += l_mag.item()
         n = len(examples)
         log.append((epoch, tot_fix / n, tot_mag / n, (tot_fix + tot_mag) / n))
+        if progress:
+            progress({"epoch": f"{epoch + 1}/{config.epochs}", "loss_fix": log[-1][1],
+                      "loss_mag": log[-1][2], "loss_total": log[-1][3],
+                      "grad_norm": tot_norm / n,
+                      "examples_per_s": n / (time.perf_counter() - t0)})
     return params, log
 
 

@@ -165,6 +165,11 @@ def test_criterion_3_gradient_integrity(capsys):
                                             np.arange(12.0).reshape(3, 4))),
              fused.standard_normal((3, 4)), fused.standard_normal((5, 4)),
              fused.standard_normal((5, 4)))
+    emb = np.random.default_rng(4)  # likewise
+    fd_check(lambda x, a, b: ad.sum_(ad.mul(ad.add_embeddings(x, [(a, [0, 2, 2, 1]),
+                                                                (b, [1, 1, 0, 1])]),
+                                            np.arange(12.0).reshape(4, 3))),
+             emb.random((4, 3)), emb.random((3, 3)), emb.random((2, 3)))
 
     # losses
     gt_map = R.random((4, 4))

@@ -223,6 +223,7 @@ def every_op(t: ad.Tensor, c, k: float) -> list[ad.Tensor]:
         ad.log(pos), ad.clamp(t, -0.5, 0.5), ad.sigmoid(t), ad.gelu(t),
         ad.softmax(t, axis=-1), ad.layernorm(t),
         ad.embedding_lookup(t, [rows - 1, 0, rows - 1]),
+        ad.add_embeddings(t, [(t, np.arange(rows)[::-1]), (t, [0] * rows)]),
         ad.affine(t, ad.transpose(t), ad.sum_(t, axis=1)),
         ad.affine(np.full((2, rows), k), t, t[0]), ad.attention(t, t, t, 1),
     ]
@@ -326,6 +327,94 @@ class TestFusedNodes:
                 ad.attention(q, k, v, 2)
 
 
+def composed_embeddings(x, t0, t1, t2, t3, indices):
+    """The chain ``ad.add_embeddings`` replaces: one ``add`` of an
+    ``embedding_lookup`` per table, left to right."""
+    for table, idx in zip((t0, t1, t2, t3), indices):
+        x = ad.add(x, ad.embedding_lookup(table, idx))
+    return x
+
+
+def add_embeddings(x, t0, t1, t2, t3, indices):
+    return ad.add_embeddings(x, list(zip((t0, t1, t2, t3), indices)))
+
+
+def memory_indices(rng, n_wsi, n_h):
+    """The four index lists of a stage-2 memory of ``n_wsi`` WSI tokens and
+    ``n_h`` fixations, with the row counts of its tables."""
+    return ([np.concatenate([np.arange(n_wsi), rng.integers(0, n_wsi, n_h)]),
+             [0] * n_wsi + [1] * n_h,
+             [0] * n_wsi + [min(n_h - i, 150) for i in range(n_h)],
+             [1] * n_wsi + rng.integers(0, 6, n_h).tolist()],
+            (n_wsi, 2, 151, 6))
+
+
+class TestAddEmbeddings:
+    """``add_embeddings`` against the ``add``/``embedding_lookup`` chain."""
+
+    @pytest.mark.parametrize("n_wsi, n_h, dim", [(16, 1, 16), (256, 24, 32), (256, 249, 32),
+                                                (64, 400, 16)])
+    def test_float32_bytes_equal_composed(self, n_wsi, n_h, dim):
+        rng = np.random.default_rng(n_h)
+        indices, rows = memory_indices(rng, n_wsi, n_h)
+        arrays = [rng.standard_normal((n_wsi + n_h, dim)).astype(np.float32)]
+        arrays += [rng.standard_normal((r, dim)).astype(np.float32) for r in rows]
+        weight = rng.standard_normal((n_wsi + n_h, dim)).astype(np.float32)
+        want = outputs_and_grads(composed_embeddings, arrays, weight, indices)
+        got = outputs_and_grads(add_embeddings, arrays, weight, indices)
+        assert all(g.dtype == np.float32 and np.array_equal(g, w)
+                   for g, w in zip(got, want))
+
+    @settings(max_examples=40, deadline=None)
+    @given(n_wsi=st.integers(1, 9), n_h=st.integers(1, 20), dim=st.integers(1, 6),
+           seed=st.integers(0, 2 ** 16))
+    def test_float64_agrees_with_composed(self, n_wsi, n_h, dim, seed):
+        rng = np.random.default_rng(seed)
+        indices, rows = memory_indices(rng, n_wsi, n_h)
+        arrays = [rng.standard_normal((n_wsi + n_h, dim))]
+        arrays += [rng.standard_normal((r, dim)) for r in rows]
+        weight = rng.standard_normal((n_wsi + n_h, dim))
+        pairs = zip(outputs_and_grads(add_embeddings, arrays, weight, indices),
+                    outputs_and_grads(composed_embeddings, arrays, weight, indices))
+        assert all(np.abs(g - w).max() <= 1e-12 for g, w in pairs)
+
+    def test_bad_indices_and_shapes(self):
+        x, table = ad.Tensor(np.ones((3, 2))), ad.Tensor(np.ones((4, 2)))
+        with pytest.raises(ShapeError):
+            ad.add_embeddings(x, [(table, [0, 4, 1])])  # row 4 of a 4-row table
+        with pytest.raises(ShapeError):
+            ad.add_embeddings(x, [(table, [0, 1])])  # 2 rows added to 3
+        with pytest.raises(ShapeError):
+            ad.add_embeddings(x, [(ad.Tensor(np.ones((4, 3))), [0, 1, 2])])
+
+
+def reference_layernorm(x):
+    return (x - x.mean(axis=-1, keepdims=True)) / np.sqrt(x.var(axis=-1, keepdims=True)
+                                                          + 1e-5)
+
+
+class TestLayernorm:
+    @pytest.mark.parametrize("shape", [(1, 16), (280, 16), (832, 32), (7, 24)])
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_equals_the_mean_var_formula(self, shape, dtype):
+        """Output bytes of ``np.mean``/``np.var``, and the backward of their
+        formula with each mean taken by ``np.mean``."""
+        rng = np.random.default_rng(shape[0])
+        x = (3.0 * rng.standard_normal(shape) + 1.0).astype(dtype)
+        g = rng.standard_normal(shape).astype(dtype)
+        mu = x.mean(axis=-1, keepdims=True)
+        inv = 1.0 / np.sqrt(x.var(axis=-1, keepdims=True) + 1e-5)
+        y = (x - mu) * inv
+        gx = inv * (g - g.mean(axis=-1, keepdims=True)
+                    - y * (g * y).mean(axis=-1, keepdims=True))
+        t = ad.Tensor(x, requires_grad=True)
+        out = ad.layernorm(t)
+        ad.backward(ad.sum_(ad.mul(out, g)))
+        assert out.data.dtype == t.grad.dtype == dtype
+        assert np.array_equal(out.data, y) and np.array_equal(t.grad, gx)
+        assert np.allclose(out.data, reference_layernorm(x.astype(np.float64)), atol=1e-5)
+
+
 class TestDtypeRule:
     """A float32 graph stays float32 (and float64 stays float64), whatever
     precision its constants were built in."""
@@ -344,6 +433,22 @@ class TestDtypeRule:
         loss = ad.sum_(ad.concat([ad.reshape(o, (-1,)) for o in outs]))
         ad.backward(loss)
         assert loss.data.dtype == dtype and t.grad.dtype == dtype
+
+
+def reference_adam_step(params, state, lr):
+    """The per-tensor Adam the flat step replaces; ``state`` is a dict of
+    the step count and per-name moments."""
+    state["t"] = t = state.get("t", 0) + 1
+    for name, p in params.items():
+        if p.grad is None:
+            continue
+        m, v = state.get(name, (np.zeros_like(p.data), np.zeros_like(p.data)))
+        m = ad.ADAM_BETA1 * m + (1 - ad.ADAM_BETA1) * p.grad
+        v = ad.ADAM_BETA2 * v + (1 - ad.ADAM_BETA2) * p.grad * p.grad
+        state[name] = m, v
+        mhat = m / (1 - ad.ADAM_BETA1 ** t)
+        vhat = v / (1 - ad.ADAM_BETA2 ** t)
+        p.data = p.data - lr * mhat / (np.sqrt(vhat) + ad.ADAM_EPS)
 
 
 class TestAdam:
@@ -365,6 +470,49 @@ class TestAdam:
         state = ad.AdamState()
         ad.adam_step({"p": p}, state, lr=0.1)
         assert p.data[0] == 1.0
+
+    @pytest.mark.parametrize("dtype", [np.float32, np.float64])
+    def test_flat_step_bytes_equal_per_tensor_reference(self, dtype):
+        """50 steps over model-like shapes; "b" has no gradient on every third
+        step and "c" none before step 10, and each keeps its moments."""
+        rng = np.random.default_rng(5)
+        shapes = {"a.W": (16, 32), "a.b": (32,), "b": (7,), "c": (3, 3), "s": ()}
+        init = {k: rng.standard_normal(sh).astype(dtype) for k, sh in shapes.items()}
+        flat = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        ref = {k: ad.Tensor(a.copy(), requires_grad=True) for k, a in init.items()}
+        state, ref_state = ad.AdamState(), {}
+        for step in range(50):
+            grads = {k: rng.standard_normal(sh).astype(dtype) for k, sh in shapes.items()}
+            if step % 3 == 2:
+                grads["b"] = None
+            if step < 10:
+                grads["c"] = None
+            for params in (flat, ref):
+                for k, p in params.items():
+                    p.grad = None if grads[k] is None else grads[k].copy()
+            taken = {k: p.data for k, p in flat.items()}
+            kept = {k: a.copy() for k, a in taken.items()}
+            norm = ad.adam_step(flat, state, lr=3e-3)
+            reference_adam_step(ref, ref_state, lr=3e-3)
+            assert all(np.array_equal(taken[k], kept[k]) for k in taken)  # not in place
+            for k in shapes:
+                assert flat[k].data.dtype == dtype and flat[k].shape == shapes[k]
+                assert flat[k].data.tobytes() == ref[k].data.tobytes(), (step, k)
+            applied = np.concatenate([g.reshape(-1) for g in grads.values() if g is not None])
+            assert norm == pytest.approx(float(np.linalg.norm(applied.astype(np.float64))),
+                                         rel=1e-5)
+        assert state.t == ref_state["t"] == 50
+
+    def test_mixed_dtypes_are_refused(self):
+        a = ad.Tensor(np.zeros(3, dtype=np.float32), requires_grad=True)
+        b = ad.Tensor(np.zeros(2), requires_grad=True)
+        a.grad, b.grad = np.ones(3, dtype=np.float32), np.ones(2)
+        with pytest.raises(ContractError):
+            ad.adam_step({"a": a, "b": b}, ad.AdamState())
+        b.data, b.grad = b.data.astype(np.float32), np.ones(2)  # a float64 gradient
+        with pytest.raises(ContractError):
+            ad.adam_step({"a": a, "b": b}, ad.AdamState())
+        assert a.data.dtype == np.float32 and not a.data.any()
 
 
 class TestCheckpoint:

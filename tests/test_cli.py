@@ -308,6 +308,36 @@ class TestTrainPredictEval:
         assert ckpt.exists()
         assert ckpt.with_suffix(".loss.csv").exists()
 
+    @pytest.mark.parametrize("command, keys", [
+        ("train-heatmap", ["level", "epoch", "loss", "grad_norm", "steps_per_s"]),
+        ("train-scanpath", ["epoch", "loss_fix", "loss_mag", "loss_total", "grad_norm",
+                            "examples_per_s"])])
+    def test_training_reports_each_epoch_on_stderr(self, corpus_dir, tmp_path, capsys,
+                                                   command, keys):
+        """One stderr line per epoch (of each level in stage 1): the mean losses
+        the loss CSV holds, a mean gradient norm and a throughput."""
+        cfg = tmp_path / "t.cfg"
+        cfg.write_text("epochs = 2\nseed = 7\ndim = 16\nmodel_dim = 16\nheads = 2\n")
+        ckpt = tmp_path / "m.psck"
+        capsys.readouterr()
+        assert run(command, "--corpus", str(corpus_dir), "--config", str(cfg),
+                   "--out", str(ckpt)) == 0
+        lines = capsys.readouterr().err.splitlines()
+        with open(ckpt.with_suffix(".loss.csv")) as fh:
+            fh.readline()  # version comment
+            rows = list(csv.DictReader(fh))
+        assert len(lines) == len(rows) >= 2
+        for line, row in zip(lines, rows):
+            name, _, text = line.partition(": ")
+            words = text.split()
+            fields = dict(zip(words[::2], words[1::2]))
+            assert name == command and list(fields) == keys and len(words) == 2 * len(keys)
+            assert fields["epoch"] == f"{int(row['epoch']) + 1}/2"
+            assert fields.get("level", row.get("mag_index")) == row.get("mag_index")
+            for k in [k for k in keys if k.startswith("loss")]:
+                assert float(fields[k]) == pytest.approx(float(row[k]), rel=1e-5)
+            assert float(fields["grad_norm"]) > 0 and float(fields[keys[-1]]) > 0
+
     def test_sidecars_hold_the_trained_configs(self, corpus_dir, train_cfg,
                                                scanpath_ckpt, tmp_path):
         # train_cfg also sets stage-2 keys; the stage-1 sidecar holds none

@@ -6,7 +6,7 @@ import pytest
 
 import pathscan.autodiff as ad
 import pathscan.pat_s as pat_s
-from pathscan.errors import ContractError, RangeError, ShapeError
+from pathscan.errors import ContractError, NumericError, RangeError, ShapeError
 from pathscan.features import FeatureGrid
 from pathscan.pat_h import gaussian_map
 from pathscan.pat_s import ScanpathModelConfig
@@ -105,6 +105,90 @@ class TestFocalLoss:
                 num[i, j] = (hi - lo) / (2 * eps)
         rel = np.abs(num - pred.grad).max() / max(np.abs(num).max(), 1e-8)
         assert rel < 1e-4
+
+
+def composed_focal_loss(pred, gt):
+    """The graph ``pat_s.focal_loss`` replaces."""
+    gt = np.asarray(gt, dtype=np.float64)
+    pos = (gt == 1.0).astype(np.float64)
+    neg_w = ((1.0 - gt) ** pat_s.FOCAL_BETA) * (1.0 - pos)
+    p = ad.clamp(pred, 1e-7, 1.0 - 1e-7)
+    one_minus = ad.sub(1.0, p)
+    pos_term = ad.mul(pos, ad.mul(ad.pow_const(one_minus, pat_s.FOCAL_GAMMA), ad.log(p)))
+    neg_term = ad.mul(neg_w, ad.mul(ad.pow_const(p, pat_s.FOCAL_GAMMA), ad.log(one_minus)))
+    return ad.scale(ad.sum_(ad.add(pos_term, neg_term)), -1.0 / gt.size)
+
+
+def composed_mag_loss(pred, gt_level, weights):
+    """The graph ``pat_s.mag_loss`` replaces."""
+    p_gt = ad.mul(pred[gt_level], ad.pow_const(ad.sum_(pred), -1.0))
+    return ad.scale(ad.log(p_gt), -float(weights[gt_level]))
+
+
+def loss_and_grad(loss_fn, pred, *args):
+    """The loss and its gradient for ``pred``, reached through the sum with
+    a second loss as in training."""
+    t = ad.Tensor(pred.copy(), requires_grad=True)
+    loss = loss_fn(t, *args)
+    ad.backward(pat_s.total_loss(loss, ad.Tensor(np.ones((), pred.dtype))))
+    return loss.data, t.grad
+
+
+def focal_case(side, seed, dtype):
+    """A (side, side) prediction holding 0, 1 and both clamp bounds, and a
+    target whose peak lies on the map's edge."""
+    rng = np.random.default_rng(seed)
+    peak = (int(rng.integers(side)), side - 1) if seed % 2 else (0, int(rng.integers(side)))
+    gt = target_map((side, side), peak, MagLevel(int(rng.integers(6))))
+    pred = rng.uniform(0.0, 1.0, (side, side)).astype(dtype)
+    cells = rng.permutation(side * side)[:4]
+    pred.reshape(-1)[cells] = np.array([0.0, 1.0, 1e-7, 1.0 - 1e-7], dtype=dtype)
+    if seed < 4:  # else the peak keeps its uniform draw
+        pred[peak] = [0.0, 1.0, 1e-7, 1.0 - 1e-7][seed]
+    return pred, gt
+
+
+class TestFusedLosses:
+    """``focal_loss`` and ``mag_loss`` against the composed graphs they replace."""
+
+    @pytest.mark.parametrize("side", [8, 12, 16, 24, 32])
+    @pytest.mark.parametrize("seed", range(10))
+    def test_focal_float32_bytes_equal_composed(self, side, seed):
+        pred, gt = focal_case(side, seed, np.float32)
+        got = loss_and_grad(pat_s.focal_loss, pred, gt)
+        want = loss_and_grad(composed_focal_loss, pred, gt)
+        assert all(g.dtype == np.float32 and np.array_equal(g, w) for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("level", range(6))
+    def test_mag_float32_bytes_equal_composed(self, level):
+        rng = np.random.default_rng(level)
+        weights = pat_s.class_weights(rng.integers(0, 50, 6))
+        weights[level] = weights[level] or 1.0
+        for _ in range(20):
+            pred = (1.0 / (1.0 + np.exp(-3.0 * rng.standard_normal(6)))).astype(np.float32)
+            got = loss_and_grad(pat_s.mag_loss, pred, level, weights)
+            want = loss_and_grad(composed_mag_loss, pred, level, weights)
+            assert all(g.dtype == np.float32 and np.array_equal(g, w)
+                       for g, w in zip(got, want))
+
+    @pytest.mark.parametrize("seed", range(8))
+    def test_float64_agrees_with_composed(self, seed):
+        def close(got, want):
+            return all(np.abs(g - w).max() <= 1e-12 * max(1.0, np.abs(w).max())
+                       for g, w in zip(got, want))
+
+        pred, gt = focal_case(8 + seed, seed, np.float64)
+        assert close(loss_and_grad(pat_s.focal_loss, pred, gt),
+                     loss_and_grad(composed_focal_loss, pred, gt))
+        rng = np.random.default_rng(seed)
+        pred, weights = rng.uniform(0.01, 1.0, 6), rng.uniform(0.1, 3.0, 6)
+        assert close(loss_and_grad(pat_s.mag_loss, pred, seed % 6, weights),
+                     loss_and_grad(composed_mag_loss, pred, seed % 6, weights))
+
+    def test_zero_activation_at_the_target_raises(self):
+        pred = ad.Tensor(np.array([0.0, 0.5, 0.5, 0.5, 0.5, 0.5]))
+        with pytest.raises(NumericError):
+            pat_s.mag_loss(pred, 0, np.ones(6))
 
 
 class TestClassWeights:
