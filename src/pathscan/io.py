@@ -9,6 +9,7 @@ from __future__ import annotations
 import dataclasses
 import hashlib
 import json
+import sys
 import typing
 from pathlib import Path
 
@@ -180,8 +181,8 @@ def build_config(cls, cfg: dict, **fixed):
     """Config dataclass ``cls`` with the ``fixed`` fields as given and each
     other field from ``parse_config``'s dict ``cfg`` or else its default;
     other keys are ignored. A value of a type that ``_ADMITS`` does not
-    list for its field, or a ``cfg`` that is no dict, raises
-    InvalidConfigError; ``cls`` checks ranges."""
+    list for its field or beyond float range (nan, inf, 10**400), or a
+    ``cfg`` that is no dict, raises InvalidConfigError; ``cls`` checks ranges."""
     if not isinstance(cfg, dict):
         raise InvalidConfigError(f"a config must be an object of keys, got {cfg!r}")
     hints = typing.get_type_hints(cls)
@@ -189,6 +190,8 @@ def build_config(cls, cfg: dict, **fixed):
         if type(cfg[key]) not in _ADMITS[hints[key]]:
             raise InvalidConfigError(f"config key {key} must be " + " or ".join(
                 t.__name__ for t in _ADMITS[hints[key]]) + f", got {cfg[key]!r}")
+        if not abs(cfg[key]) <= sys.float_info.max:  # nan, inf, or an int no float holds
+            raise InvalidConfigError(f"config key {key} must be finite, got {cfg[key]!r}")
         fixed[key] = cfg[key]
     return cls(**fixed)
 

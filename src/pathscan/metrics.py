@@ -5,7 +5,6 @@ accuracies."""
 from __future__ import annotations
 
 import numpy as np
-from scipy.stats import rankdata
 
 from .errors import ContractError, DegenerateInputError, InvalidInputError
 from .features import SyntheticFeatureProvider, cells_of, token_at, tokens_at, xy_of
@@ -44,7 +43,8 @@ def auc_judd(
     """ROC area, fixated cells positive vs all other cells, ties half-credit.
 
     Computed via average ranks, which equals the pairwise formulation
-    AUC = P(pos > neg) + 0.5 * P(pos == neg) exactly.
+    AUC = P(pos > neg) + 0.5 * P(pos == neg) exactly. Each tie group of n
+    values from ``np.unique`` takes its last rank - (n - 1) / 2.
     """
     if not fixations:
         raise InvalidInputError("auc requires at least one fixation")
@@ -55,7 +55,8 @@ def auc_judd(
     n_neg = mask.size - n_pos
     if n_neg == 0:
         raise ContractError("auc is undefined when every cell is fixated")
-    ranks = rankdata(vals.ravel(), method="average")
+    _, inv, n = np.unique(vals.ravel(), return_inverse=True, return_counts=True)
+    ranks = (np.cumsum(n) - (n - 1) / 2.0)[inv]
     r_pos = ranks[mask.ravel()].sum()
     return float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
 

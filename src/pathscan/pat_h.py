@@ -16,7 +16,6 @@ import warnings
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.ndimage import gaussian_filter
 
 from . import autodiff as ad
 from . import io, nn
@@ -60,7 +59,10 @@ def gaussian_map(
     magnification m are blurred with sigma(m) = cols / 8 / factor(m) (one
     eighth of the map width at 1X) and the blurred maps are summed in
     first-seen magnification order, then max-normalized.  No fixations
-    give an all-zero map.
+    give an all-zero map.  ``_blur`` takes radius int(4 sigma + 0.5), weights
+    exp(-x^2 / 2 sigma^2) over their sum and zero padding, along rows then
+    columns; each output is its centre term plus (left + right) * weight per
+    symmetric pair, outermost pair first.
     """
     rows, cols = shape
     if rows <= 0 or cols <= 0:
@@ -74,8 +76,24 @@ def gaussian_map(
     for idx in dict.fromkeys(mags.tolist()):  # first-seen order
         d, at = np.zeros(shape), mags == idx
         np.add.at(d, (r[at], c[at]), 1.0)
-        acc += gaussian_filter(d, sigma=cols / 8.0 / MagLevel(idx).factor, mode="constant")
+        acc += _blur(d, cols / 8.0 / MagLevel(idx).factor)
     return acc / acc.max()
+
+
+def _blur(a: np.ndarray, sigma: float) -> np.ndarray:
+    """``a`` correlated with ``gaussian_map``'s kernel along axis 0, then axis 1."""
+    r = int(4.0 * sigma + 0.5)
+    w = np.exp(-0.5 / (sigma * sigma) * np.arange(-r, r + 1) ** 2)
+    w = (w / w.sum()).tolist()
+    for _ in range(2):  # each pass blurs axis 0 and hands on its transpose
+        n = len(a)
+        p = np.zeros((n + 2 * r, a.shape[1]))
+        p[r:r + n] = a
+        out = p[r:r + n] * w[r]  # a's values, C-ordered, so every term below is too
+        for k in range(r):  # p[k + i] is a[i - (r - k)], p[2r - k + i] is a[i + r - k]
+            out += (p[k:k + n] + p[2 * r - k:2 * r - k + n]) * w[k]
+        a = out.T
+    return a
 
 
 def init_heatmap_params(

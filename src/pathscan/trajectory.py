@@ -197,25 +197,19 @@ def dispersion_merge(pts: list[Fixation], params: SimplifyParams) -> list[Fixati
     Default behaviour merges every point lying within the distance
     threshold of the previously emitted point into it, accumulating the
     merged dwell time; a point is emitted once it is at least th_dist
-    away.  The last point is always retained even when it merged.
+    away.  The last point is never merged: it is always retained with its
+    own dwell, so every input millisecond lands in one output fixation.
     """
-    if not pts:
-        return []
-    if len(pts) == 1:
+    if len(pts) <= 1:
         return list(pts)
     th = params.dist_threshold(pts[0].mag)
     out = [pts[0]]
-    last_emitted_was_final = False
-    for q in range(1, len(pts)):
-        p = pts[q]
+    for p in pts[1:-1]:
         if _dist(p, out[-1]) >= th:
             out.append(p)
-            last_emitted_was_final = q == len(pts) - 1
         else:
             out[-1] = replace(out[-1], dur=out[-1].dur + p.dur)
-            last_emitted_was_final = False
-    if not last_emitted_was_final:
-        out.append(pts[-1])
+    out.append(pts[-1])
     return out
 
 

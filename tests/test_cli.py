@@ -1,7 +1,10 @@
 import csv
 import dataclasses
 import json
+import os
 import shutil
+import subprocess
+import sys
 import typing
 import warnings
 import xml.etree.ElementTree as ET
@@ -216,14 +219,16 @@ BAD_GRADE_MAPS = {"unknown-char": {"w.grid": "..?.....\n" * 8},
      None),
     (3, GEN_CFG, "seed = -1\n"),
     *[(3, SIMPLIFY_CFG, cfg) for cfg in (
-        "th_time = abc\n", "th_dist = none\n", "max_fixations = 2.5\n")],
+        "th_time = abc\n", "th_dist = none\n", "max_fixations = 2.5\n", "th_time = nan\n",
+        "th_dist = inf\n", "th_angle = inf\n")],
     *[(3, GEN_CFG, cfg) for cfg in (
         "th_time = abc\n", "feature_dim = abc\n", "feature_dim = 16.7\n",
         "feature_dim = 4\n", "base_grid = 0\n")],
     *[(3, TRAIN_H, cfg) for cfg in ("epochs = abc\n", "epochs = true\n", "heads = 0\n")],
     *[(3, TRAIN_S, cfg) for cfg in (
         "epochs = 2.5\n", "lr = fast\n", "epochs = -1\n", "enc_layers = -2\n",
-        "lr = -0.5\n", "model_dim = 0\n")],
+        "lr = -0.5\n", "model_dim = 0\n", "lr = inf\n", "lr = 1e400\n",
+        f"lr = 1{'0' * 400}\n")],
     *[(2, f"gen {flag} --out {{t}}/g", None) for flag in (
         "--wsis -3", "--readers 0", "--samples 5", "--grid 4")],
     (0, EVAL_TINY, TINY),
@@ -237,12 +242,14 @@ BAD_GRADE_MAPS = {"unknown-char": {"w.grid": "..?.....\n" * 8},
         "predict-n-zero", "render-index-past-end", "render-index-negative",
         "gen-seed-negative", "predict-seed-negative", "config-seed-negative",
         "simplify-th-time-not-number", "simplify-th-dist-none",
-        "simplify-max-fixations-float", "gen-th-time-not-number",
+        "simplify-max-fixations-float", "simplify-th-time-nan", "simplify-th-dist-inf",
+        "simplify-th-angle-inf", "gen-th-time-not-number",
         "gen-feature-dim-not-number", "gen-feature-dim-float", "gen-feature-dim-4",
         "gen-base-grid-0", "heatmap-epochs-not-number", "heatmap-epochs-bool",
         "heatmap-heads-0", "scanpath-epochs-float", "scanpath-lr-not-number",
         "scanpath-epochs-negative", "scanpath-enc-layers-negative",
-        "scanpath-lr-negative", "scanpath-model-dim-0", "gen-wsis-negative",
+        "scanpath-lr-negative", "scanpath-model-dim-0", "scanpath-lr-inf",
+        "scanpath-lr-1e400", "scanpath-lr-int-beyond-float", "gen-wsis-negative",
         "gen-readers-0", "gen-samples-below-floor", "gen-grid-below-floor",
         "eval-scanpath-tiny-corpus", "render-tiny-corpus",
         *[f"{command}-grade-map-{bad}" for command in ("eval-scanpath", "render")
@@ -264,6 +271,31 @@ def test_exit_code_contract(want, argv, cfg, corpus_dir, tmp_path, capsys):
         assert "error:" in capsys.readouterr().err
     if want and argv.startswith("gen"):
         assert not [p for p in (tmp_path / "g").glob("**/*") if p.is_file()]
+
+
+# gen, train-heatmap (gaussian_map targets) and eval-scanpath (gaussian_map
+# and auc_judd) in a process that cannot import scipy; prints the exit codes
+WITHOUT_SCIPY = """
+import sys
+sys.modules["scipy"] = None
+import pathscan.cli as cli
+t = sys.argv[1]
+open(t + "/h.cfg", "w").write("epochs = 1\\nseed = 7\\nlayers = 1\\nheads = 2\\n")
+print([cli.main(argv.format(t=t).split()) for argv in (
+    "gen --seed 7 --wsis 1 --readers 1 --samples 60 --grid 16 --out {t}/c",
+    "train-heatmap --corpus {t}/c --config {t}/h.cfg --out {t}/h.psck",
+    "eval-scanpath --pred {t}/c/scanpaths.jsonl --gt {t}/c/scanpaths.jsonl "
+    "--corpus {t}/c --report {t}/r.csv")])
+"""
+
+
+def test_commands_run_without_scipy(tmp_path):
+    """numpy is the one runtime dependency: no command path imports scipy."""
+    src = str(Path(pat_h.__file__).parents[1])
+    env = {**os.environ, "PYTHONPATH": os.pathsep.join([src, os.environ.get("PYTHONPATH", "")])}
+    done = subprocess.run([sys.executable, "-c", WITHOUT_SCIPY, str(tmp_path)], env=env,
+                          capture_output=True, text=True, timeout=60)
+    assert done.stdout.strip() == "[0, 0, 0]", done.stderr
 
 
 def test_numeric_failure_computes_nothing_through_inf(corpus_dir, tmp_path):

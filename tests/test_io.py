@@ -142,6 +142,13 @@ class TestConfig:
         (CorpusConfig, "feature_dim", 16.7),
         (SimplifyParams, "th_dist", "none"),
         (SimplifyParams, "th_time", True),
+        (SimplifyParams, "th_time", float("nan")),
+        (SimplifyParams, "th_dist", float("inf")),
+        (SimplifyParams, "th_angle", float("inf")),
+        (HeatmapModelConfig, "lr", float("inf")),
+        (ScanpathModelConfig, "lr", pio._parse_value("1e400")),
+        (ScanpathModelConfig, "lr", 10**400),
+        (ScanpathModelConfig, "epochs", 10**400),
     ])
     def test_build_config_rejects_wrong_types(self, cls, key, bad):
         with pytest.raises(InvalidConfigError, match=key):

@@ -5,6 +5,8 @@ import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
+from scipy.stats import rankdata
 
 import pathscan.metrics as mx
 from pathscan.errors import (
@@ -78,6 +80,25 @@ class TestAucJudd:
                 mask[rc] = True
             want = auc_pairwise_oracle(vals.ravel(), mask.ravel())
             assert got == pytest.approx(want, abs=1e-12)
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.integers(1, 12), st.integers(1, 12), st.integers(0, 3), st.data())
+    def test_bytes_equal_rankdata_formula(self, rows, cols, levels, data):
+        """Tied maps score to the bit what scipy's average ranks give."""
+        vals = np.array(data.draw(st.lists(st.integers(0, levels), min_size=rows * cols,
+                                           max_size=rows * cols))).reshape(rows, cols) / 4.0
+        xy = st.tuples(st.floats(0, cols, exclude_max=True), st.floats(0, rows, exclude_max=True))
+        fixations = [fix(x, y) for x, y in data.draw(st.lists(xy, min_size=1, max_size=6))]
+        mask = np.zeros((rows, cols), dtype=bool)
+        mask[tuple(zip(*mx._fixated_cells(fixations, (rows, cols), cols, rows)))] = True
+        n_pos, n_neg = int(mask.sum()), int((~mask).sum())
+        if n_neg == 0:
+            with pytest.raises(ContractError):
+                mx.auc_judd(vals, fixations, cols, rows)
+            return
+        r_pos = rankdata(vals.ravel(), method="average")[mask.ravel()].sum()
+        want = float((r_pos - n_pos * (n_pos + 1) / 2.0) / (n_pos * n_neg))
+        assert mx.auc_judd(vals, fixations, cols, rows) == want
 
     def test_perfect_map(self):
         vals = np.zeros((4, 4))
@@ -505,8 +526,6 @@ class TestMagAccuracy:
 
 class TestScanpathToHeatmap:
     def test_two_fixation_convolution(self):
-        from scipy.ndimage import gaussian_filter
-
         sp = Scanpath("w", "r", [fix(25, 25, mag=3), fix(125, 125, mag=3)])
         got = mx.scanpath_to_heatmap(sp, (8, 8), 160.0, 160.0)
         delta = np.zeros((8, 8))
@@ -514,7 +533,7 @@ class TestScanpathToHeatmap:
         delta[6, 6] += 1.0
         want = gaussian_filter(delta, sigma=(8 / 8.0) / 10.0, mode="constant")
         want = want / want.max()
-        assert np.allclose(got, want)
+        assert np.array_equal(got, want)
 
     def test_normalized_peak(self):
         sp = Scanpath("w", "r", [fix(25, 25)])

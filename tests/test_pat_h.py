@@ -2,6 +2,9 @@ import dataclasses
 
 import numpy as np
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
+from scipy.ndimage import gaussian_filter
 
 import pathscan.autodiff as ad
 import pathscan.pat_h as pat_h
@@ -150,17 +153,24 @@ class TestFixationsToHeatmap:
         # the 40X blob is much more concentrated
         assert (h40 > 0.5).sum() < (h1 > 0.5).sum()
 
-    def test_each_magnification_blurred_then_summed(self):
-        from scipy.ndimage import gaussian_filter
-
-        fixations = [Fixation(150.0, 150.0, MagLevel(2), 1.0),
-                     Fixation(650.0, 450.0, MagLevel(0), 1.0)]
-        got = pat_h.gaussian_map(fixations, (8, 8), 800.0, 800.0)
-        d4, d1 = np.zeros((8, 8)), np.zeros((8, 8))
-        d4[1, 1] = d1[4, 6] = 1.0
-        want = (gaussian_filter(d4, sigma=1.0 / 4, mode="constant")
-                + gaussian_filter(d1, sigma=1.0, mode="constant"))
-        assert np.allclose(got, want / want.max())
+    @settings(max_examples=300, deadline=None)
+    @given(st.integers(1, 39), st.integers(1, 39),
+           st.lists(st.tuples(st.floats(0, 1, exclude_max=True),
+                              st.floats(0, 1, exclude_max=True), st.integers(0, 5)),
+                    min_size=1, max_size=5))
+    def test_each_magnification_blurred_then_summed(self, rows, cols, cells):
+        """Bytes equal to scipy's gaussian_filter of each level's deltas,
+        summed in first-seen level order and max-normalized."""
+        fixations = [Fixation((int(u * cols) + 0.5) * 10.0, (int(v * rows) + 0.5) * 10.0,
+                              MagLevel(m), 100.0) for u, v, m in cells]
+        got = pat_h.gaussian_map(fixations, (rows, cols), cols * 10.0, rows * 10.0)
+        want = np.zeros((rows, cols))
+        for m in dict.fromkeys(m for _, _, m in cells):
+            d = np.zeros((rows, cols))
+            for u, v, _ in [cell for cell in cells if cell[2] == m]:
+                d[int(v * rows), int(u * cols)] += 1.0
+            want += gaussian_filter(d, sigma=cols / 8.0 / MagLevel(m).factor, mode="constant")
+        assert np.array_equal(got, want / want.max())
 
     def test_no_fixations_warns_and_returns_zero(self):
         with pytest.warns(UserWarning):

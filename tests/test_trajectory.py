@@ -102,14 +102,23 @@ class TestSimplifyFragment:
 
 class TestDispersionMerge:
     def test_two_close_points(self):
-        # two points 10 apart with threshold 100: the first carries the
-        # summed duration and the final point is still retained
+        # two points 10 apart with threshold 100: the final point is
+        # retained and never merged, so each keeps its own duration
         p1 = Fixation(0, 0, MagLevel(0), 120.0)
         p2 = Fixation(10, 0, MagLevel(0), 80.0)
         out = dispersion_merge([p1, p2], SimplifyParams(10_000.0, th_dist=100.0))
-        assert len(out) == 2
-        assert out[0].dur == pytest.approx(200.0)
-        assert (out[1].x, out[1].y, out[1].dur) == (10, 0, 80.0)
+        assert [(f.x, f.y, f.dur) for f in out] == [(0, 0, 120.0), (10, 0, 80.0)]
+
+    @settings(max_examples=200, deadline=None)
+    @given(st.lists(st.tuples(st.integers(0, 300), st.integers(0, 300), st.integers(1, 500)),
+                    min_size=1, max_size=30),
+           st.floats(1.0, 200.0))
+    def test_dwell_is_conserved(self, pts, th_dist):
+        """Every input millisecond lands in exactly one output fixation."""
+        fix = [Fixation(float(x), float(y), MagLevel(2), float(d)) for x, y, d in pts]
+        out = dispersion_merge(fix, SimplifyParams(10_000.0, th_dist=th_dist))
+        assert sum(f.dur for f in out) == sum(f.dur for f in fix)
+        assert (out[0].x, out[0].y) == (fix[0].x, fix[0].y) and out[-1] == fix[-1]
 
     def test_far_points_all_emitted(self):
         pts = [Fixation(i * 500, 0, MagLevel(0), 100.0) for i in range(4)]
@@ -177,17 +186,15 @@ def reference_simplify(t: RawTrajectory, params: SimplifyParams) -> list[Fixatio
             kept.append(frag[-1])
         # dispersion pass
         th = params.dist_threshold(frag[0].mag)
+        # the final point is never merged: it is always its own fixation
         merged = [[kept[0].x, kept[0].y, kept[0].mag, kept[0].t]]
-        final_emitted = len(kept) == 1
-        for i in range(1, len(kept)):
+        for i in range(1, len(kept) - 1):
             p = kept[i]
             if math.dist((p.x, p.y), (merged[-1][0], merged[-1][1])) >= th:
                 merged.append([p.x, p.y, p.mag, p.t])
-                final_emitted = i == len(kept) - 1
             else:
                 merged[-1][3] += p.t
-                final_emitted = False
-        if not final_emitted and len(kept) > 1:
+        if len(kept) > 1:
             last = kept[-1]
             merged.append([last.x, last.y, last.mag, last.t])
         result.extend(Fixation(m[0], m[1], m[2], m[3]) for m in merged)
