@@ -12,6 +12,16 @@ and ``attention`` its scores too, but not every internal array; each
 gives the bytes of the composed ops it replaces.  ``node`` makes an op's
 result, and lets other modules define fused nodes (the stage-2 losses).
 
+Layout rule: a fused node's output and every gradient it hands on keep
+the composed graph's memory layout (strides), not only its values: a
+later op's sum runs in layout order, so a C-ordered gradient where the
+composed graph gives an F-ordered view changes the bytes downstream.
+Buffer rule: ``attention`` runs the heads of large blocks on parallel
+threads, and those threads run numpy statements only, writing with
+``out=`` into arrays the calling thread allocated: no Tensor, no graph,
+and no large temporary of their own, which glibc would keep in a
+per-thread arena.
+
 ``adam_step`` updates every parameter with one pass over a flat buffer
 and points each parameter at a view of the new values; it never writes
 into an existing parameter array.
@@ -30,7 +40,10 @@ such as parameters); intermediate tensors keep ``grad is None``.
 
 from __future__ import annotations
 
+import contextvars
+import os
 import struct
+import threading
 import zlib
 
 import numpy as np
@@ -181,16 +194,72 @@ def affine(x, W: Tensor, b: Tensor) -> Tensor:
     return node(data, (x, W, b), backward)
 
 
+# A head's score block of at least this many elements (m * n) runs the
+# heads of ``attention`` on parallel threads: stage 1's 1024-token levels
+# do, stage 2's memories (at most ~500 tokens) and the 256-token 2X level
+# stay serial, where threads gained ~2% at most.
+PARALLEL_SCORES = 1 << 19
+
+
+def _cpus() -> int:
+    """The number of CPUs this process may run on."""
+    try:
+        return len(os.sched_getaffinity(0))
+    except AttributeError:  # no affinity call on this platform
+        return os.cpu_count() or 1
+
+
+def _over_heads(kernel, arrays, heads: int, block: int):
+    """``kernel(*arrays)`` over the leading (heads) axis of every array.
+
+    When a head's score block has at least PARALLEL_SCORES elements, the
+    heads split into min(heads, CPUs) contiguous slices, and the kernel
+    runs once per slice: the first on this thread, each other on a thread
+    started and joined here, in a copy of this thread's context (numpy 2
+    keeps ``errstate`` there). The first exception of a slice, in slice
+    order, is raised once every thread has ended.
+    """
+    parts = min(heads, _cpus()) if block >= PARALLEL_SCORES else 1
+    if parts == 1:
+        kernel(*arrays)
+        return
+    errors: list[BaseException | None] = [None] * parts
+
+    def run(i: int):
+        lo, hi = heads * i // parts, heads * (i + 1) // parts
+        try:
+            kernel(*(a[lo:hi] for a in arrays))
+        except BaseException as e:
+            errors[i] = e
+
+    threads = [threading.Thread(target=contextvars.copy_context().run, args=(run, i))
+               for i in range(1, parts)]
+    for t in threads:
+        t.start()
+    try:
+        run(0)
+    finally:
+        for t in threads:
+            t.join()
+    for e in errors:
+        if e is not None:
+            raise e
+
+
 def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
     """Multi-head scaled dot-product attention as one node.
 
     ``q`` is (m, C), ``k`` and ``v`` are (n, C); each of ``heads`` heads
     attends over its C // heads columns, and the result is the (m, C)
-    context with the heads merged back.  Forward and backward work on the
-    (heads, m, n) block in place, in the layouts and order of the composed
-    ``matmul``/``scale``/``softmax``/``reshape``/``transpose`` graph, so
-    they give its bytes.  A non-finite score raises NumericError before
-    the exponent.
+    context with the heads merged back.  Forward and backward each run one
+    kernel over a slice of heads, in place on its (heads, m, n) block, in
+    the layouts and order of the composed ``matmul``/``scale``/``softmax``/
+    ``reshape``/``transpose`` graph, so they give its bytes.  Large blocks
+    run their slices on parallel threads (``_over_heads``); a kernel runs
+    numpy statements only and writes only into the arrays allocated here,
+    which have the composed graph's layouts, and every output and gradient
+    is merged from them as the composed graph merges its own.  A
+    non-finite score raises NumericError before the exponent.
     """
     if q.data.ndim != 2 or k.data.ndim != 2 or k.shape != v.shape:
         raise ShapeError(f"attention needs (m, C) q and equal (n, C) k and v, got "
@@ -208,26 +277,43 @@ def attention(q: Tensor, k: Tensor, v: Tensor, heads: int) -> Tensor:
         return a.transpose(1, 0, 2).reshape(length, dim)
 
     qh, kh, vh = split(q.data, m), split(k.data, n), split(v.data, n)
-    attn = qh @ kh.transpose(0, 2, 1)
-    attn *= s
-    top = attn.max(axis=-1, keepdims=True)
-    if TRAP_NONFINITE and not (np.all(np.isfinite(top)) and np.isfinite(attn.min())):
-        raise NumericError("attention scores hold non-finite values")
-    attn -= top
-    np.exp(attn, out=attn)
-    attn /= attn.sum(axis=-1, keepdims=True)
+    dtype = q.data.dtype
+    attn, rows = np.empty((heads, m, n), dtype), np.empty((heads, m, 1), dtype)
+    ctx = np.empty((heads, m, dh), dtype)
+
+    def forward_heads(qh, kh, vh, attn, rows, ctx):
+        np.matmul(qh, kh.transpose(0, 2, 1), out=attn)
+        attn *= s
+        top = attn.max(axis=-1, keepdims=True, out=rows)
+        if TRAP_NONFINITE and not (np.isfinite(top).all() and np.isfinite(attn.min())):
+            raise NumericError("attention scores hold non-finite values")
+        attn -= top
+        np.exp(attn, out=attn)
+        attn /= attn.sum(axis=-1, keepdims=True, out=rows)
+        np.matmul(attn, vh, out=ctx)
+
+    _over_heads(forward_heads, (qh, kh, vh, attn, rows, ctx), heads, m * n)
 
     def backward(g):
         gh = split(g, m)
-        gs = gh @ np.swapaxes(vh, -1, -2)
-        gv = np.swapaxes(attn, -1, -2) @ gh
-        gs -= (gs * attn).sum(axis=-1, keepdims=True)
-        gs *= attn
-        gs *= s
-        gk = (np.swapaxes(qh, -1, -2) @ gs).transpose(0, 2, 1)
-        return merge(gs @ kh, m), merge(gk, n), merge(gv, n)
+        gs, prod = np.empty((heads, m, n), dtype), np.empty((heads, m, n), dtype)
+        gq, gk = np.empty((heads, m, dh), dtype), np.empty((heads, dh, n), dtype)
+        gv, dots = np.empty((heads, n, dh), dtype), np.empty((heads, m, 1), dtype)
 
-    return node(merge(attn @ vh, m), (q, k, v), backward)
+        def backward_heads(gh, vh, attn, qh, kh, gs, prod, dots, gq, gk, gv):
+            np.matmul(gh, vh.transpose(0, 2, 1), out=gs)
+            np.matmul(attn.transpose(0, 2, 1), gh, out=gv)
+            gs -= np.multiply(gs, attn, out=prod).sum(axis=-1, keepdims=True, out=dots)
+            gs *= attn
+            gs *= s
+            np.matmul(qh.transpose(0, 2, 1), gs, out=gk)
+            np.matmul(gs, kh, out=gq)
+
+        _over_heads(backward_heads, (gh, vh, attn, qh, kh, gs, prod, dots, gq, gk, gv),
+                    heads, m * n)
+        return merge(gq, m), merge(gk.transpose(0, 2, 1), n), merge(gv, n)
+
+    return node(merge(ctx, m), (q, k, v), backward)
 
 
 def transpose(a: Tensor, axes=None) -> Tensor:

@@ -195,11 +195,12 @@ def train_heatmap(
             t0 = time.perf_counter()
             total = norm = 0.0
             for grid, gt in items:
-                ad.zero_grads(params)
-                z = encode(grid, params, config)
-                loss = loss_cc(decode_scores(z, params), gt)
-                ad.backward(loss)
-                norm += ad.adam_step(params, state, lr=config.lr)
+                with np.errstate(over="ignore"):  # an overflow's inf raises NumericError
+                    ad.zero_grads(params)
+                    z = encode(grid, params, config)
+                    loss = loss_cc(decode_scores(z, params), gt)
+                    ad.backward(loss)
+                    norm += ad.adam_step(params, state, lr=config.lr)
                 total += loss.item()
             losses.append(total / len(items))
             if progress:

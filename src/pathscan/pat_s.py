@@ -322,13 +322,14 @@ def train_scanpath(
                 y_cache[key] = pat_h.gaussian_map(
                     [target], (f10x.rows, f10x.cols), f10x.width_px, f10x.height_px
                 )
-            ad.zero_grads(params)
-            heat, mags = forward_step(params, config, f2x, f10x, sp.fixations[:k])
-            l_fix = focal_loss(heat, y_cache[key])
-            l_mag = mag_loss(mags, target.mag.index, weights)
-            loss = total_loss(l_fix, l_mag)
-            ad.backward(loss)
-            tot_norm += ad.adam_step(params, state, lr=config.lr)
+            with np.errstate(over="ignore"):  # an overflow's inf raises NumericError
+                ad.zero_grads(params)
+                heat, mags = forward_step(params, config, f2x, f10x, sp.fixations[:k])
+                l_fix = focal_loss(heat, y_cache[key])
+                l_mag = mag_loss(mags, target.mag.index, weights)
+                loss = total_loss(l_fix, l_mag)
+                ad.backward(loss)
+                tot_norm += ad.adam_step(params, state, lr=config.lr)
             tot_fix += l_fix.item()
             tot_mag += l_mag.item()
         n = len(examples)

@@ -1,3 +1,4 @@
+import threading
 import warnings
 
 import numpy as np
@@ -249,29 +250,70 @@ def composed_affine(x, W, b):
 
 
 def outputs_and_grads(fn, arrays, weight, *args):
-    """fn's output and the gradients of sum(output * weight) for each array."""
+    """fn's output and the gradient of sum(output * weight) that fn's graph
+    hands to each array, in the layout it hands it on: each array reaches
+    fn through a pass-through node that keeps the gradient it is given,
+    since a leaf's ``.grad`` is a C-ordered copy."""
     ts = [ad.Tensor(a.copy(), requires_grad=True) for a in arrays]
-    out = fn(*ts, *args)
+    grads = [None] * len(ts)
+
+    def through(i, t):
+        def keep(g):
+            grads[i] = g
+            return (g,)
+        return ad.node(t.data, (t,), keep)
+
+    out = fn(*(through(i, t) for i, t in enumerate(ts)), *args)
     ad.backward(ad.sum_(ad.mul(out, weight)))
-    return [out.data] + [t.grad for t in ts]
+    return [out.data] + grads
+
+
+def same_float32(got, want) -> bool:
+    """Array by array: float32, equal bytes and equal strides."""
+    return len(got) == len(want) and all(
+        g.dtype == np.float32 and g.strides == w.strides and np.array_equal(g, w)
+        for g, w in zip(got, want))
+
+
+@pytest.fixture
+def threaded(monkeypatch):
+    """Every attention block splits its heads over up to three threads,
+    whatever the machine's CPU count."""
+    monkeypatch.setattr(ad, "PARALLEL_SCORES", 1)
+    monkeypatch.setattr(ad, "_cpus", lambda: 3)
 
 
 class TestFusedNodes:
     """``affine`` and ``attention`` against the composed graphs they replace."""
 
-    @pytest.mark.parametrize("n", [1, 9, 300, 832])
-    @pytest.mark.parametrize("dim, heads", [(16, 1), (16, 2), (16, 4), (32, 1), (32, 2),
-                                            (32, 4)])
-    def test_attention_float32_bytes_equal_composed(self, dim, heads, n):
+    @staticmethod
+    def check_attention_bytes(dim, heads, n):
+        """For m = 1 and m = n: ``attention`` gives the composed graph's
+        output and gradients, bytes and strides, and leaves no thread."""
         rng = np.random.default_rng(dim * n + heads)
         for m in sorted({1, n}):
             arrays = [rng.standard_normal(s).astype(np.float32)
                       for s in ((m, dim), (n, dim), (n, dim))]
             weight = rng.standard_normal((m, dim)).astype(np.float32)
             want = outputs_and_grads(composed_attention, arrays, weight, heads)
+            alive = threading.active_count()
             got = outputs_and_grads(ad.attention, arrays, weight, heads)
-            assert all(g.dtype == np.float32 and np.array_equal(g, w)
-                       for g, w in zip(got, want))
+            assert threading.active_count() == alive
+            assert same_float32(got, want)
+
+    @pytest.mark.parametrize("n", [1, 9, 300, 832, 1024])
+    @pytest.mark.parametrize("dim, heads", [(16, 1), (16, 2), (16, 4), (32, 1), (32, 2),
+                                            (32, 4)])
+    def test_attention_float32_bytes_equal_composed(self, dim, heads, n):
+        """n = 1024 runs a multi-core machine's threaded path."""
+        self.check_attention_bytes(dim, heads, n)
+
+    @pytest.mark.parametrize("n", [1, 9, 300])
+    @pytest.mark.parametrize("dim, heads", [(16, 2), (16, 4), (12, 3), (32, 4)])
+    def test_threaded_attention_float32_bytes_equal_composed(self, threaded, dim, heads, n):
+        """Heads split over threads (4 heads as 1 + 1 + 2) give the same
+        bytes and strides on any machine."""
+        self.check_attention_bytes(dim, heads, n)
 
     @pytest.mark.parametrize("shape", [(1, 16, 16), (257, 16, 32), (832, 32, 128)])
     def test_affine_float32_bytes_equal_composed(self, shape):
@@ -282,8 +324,7 @@ class TestFusedNodes:
         weight = rng.standard_normal((m, dout)).astype(np.float32)
         want = outputs_and_grads(composed_affine, arrays, weight)
         got = outputs_and_grads(ad.affine, arrays, weight)
-        assert all(g.dtype == np.float32 and np.array_equal(g, w)
-                   for g, w in zip(got, want))
+        assert same_float32(got, want)
 
     @settings(max_examples=60, deadline=None)
     @given(heads=st.integers(1, 4), dh=st.integers(1, 5), m=st.integers(1, 7),
@@ -326,6 +367,29 @@ class TestFusedNodes:
             with pytest.raises(NumericError):
                 ad.attention(q, k, v, 2)
 
+    @staticmethod
+    def second_head_overflows():
+        """q, k and v of two heads whose float32 scores overflow to inf in
+        the second head only: a worker's slice when heads are threaded."""
+        q, k = np.ones((2, 4), dtype=np.float32), np.ones((3, 4), dtype=np.float32)
+        q[:, 2:] = k[1, 2:] = np.float32(1e20)
+        return ad.Tensor(q), ad.Tensor(k), ad.Tensor(np.ones_like(k))
+
+    def test_nonfinite_score_in_a_worker_raises_in_the_caller(self, threaded):
+        alive = threading.active_count()
+        with warnings.catch_warnings():
+            warnings.simplefilter("error", RuntimeWarning)
+            warnings.filterwarnings("ignore", "overflow", RuntimeWarning)
+            with pytest.raises(NumericError):
+                ad.attention(*self.second_head_overflows(), 2)
+        assert threading.active_count() == alive
+
+    def test_worker_honours_the_callers_errstate(self, threaded):
+        alive = threading.active_count()
+        with np.errstate(over="raise"), pytest.raises(FloatingPointError):
+            ad.attention(*self.second_head_overflows(), 2)
+        assert threading.active_count() == alive
+
 
 def composed_embeddings(x, t0, t1, t2, t3, indices):
     """The chain ``ad.add_embeddings`` replaces: one ``add`` of an
@@ -362,8 +426,7 @@ class TestAddEmbeddings:
         weight = rng.standard_normal((n_wsi + n_h, dim)).astype(np.float32)
         want = outputs_and_grads(composed_embeddings, arrays, weight, indices)
         got = outputs_and_grads(add_embeddings, arrays, weight, indices)
-        assert all(g.dtype == np.float32 and np.array_equal(g, w)
-                   for g, w in zip(got, want))
+        assert same_float32(got, want)
 
     @settings(max_examples=40, deadline=None)
     @given(n_wsi=st.integers(1, 9), n_h=st.integers(1, 20), dim=st.integers(1, 6),

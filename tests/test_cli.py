@@ -298,17 +298,32 @@ def test_commands_run_without_scipy(tmp_path):
     assert done.stdout.strip() == "[0, 0, 0]", done.stderr
 
 
-def test_numeric_failure_computes_nothing_through_inf(corpus_dir, tmp_path):
-    """``lr = 1e30`` exits 4 before any kernel takes an inf or NaN in: numpy
-    warns only where a value first overflows, never of an invalid value."""
+def run_at_huge_lr(command: str, corpus_dir, tmp_path, capsys):
+    """``command`` with ``lr = 1e30``: its exit code, the messages of the
+    RuntimeWarnings numpy gave, and the lines of standard error."""
     (tmp_path / "x.cfg").write_text(
         "epochs = 1\nlr = 1e30\ndim = 16\nmodel_dim = 16\nheads = 2\n")
+    capsys.readouterr()
     with warnings.catch_warnings(record=True) as seen:
         warnings.simplefilter("always")
-        code = run(*TRAIN_S.format(c=corpus_dir, t=tmp_path).split())
-    assert code == 4
-    assert [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)
-            and not str(w.message).startswith("overflow")] == []
+        code = run(*command.format(c=corpus_dir, t=tmp_path).split())
+    return (code, [str(w.message) for w in seen if issubclass(w.category, RuntimeWarning)],
+            capsys.readouterr().err.splitlines())
+
+
+def test_numeric_failure_computes_nothing_through_inf(corpus_dir, tmp_path, capsys):
+    """``lr = 1e30`` exits 4 with one ``numeric error`` line: a training step
+    ignores overflow, and no kernel takes an inf or NaN in, so numpy warns
+    of nothing."""
+    code, warned, err = run_at_huge_lr(TRAIN_S, corpus_dir, tmp_path, capsys)
+    assert (code, warned, len(err)) == (4, [], 1) and err[0].startswith("numeric error: ")
+
+
+def test_stage1_numeric_failure_exits_4_quietly(corpus_dir, tmp_path, capsys):
+    """The same for stage 1, whose 32 x 32 levels run attention's heads on
+    parallel threads on a multi-core machine."""
+    code, warned, err = run_at_huge_lr(TRAIN_H, corpus_dir, tmp_path, capsys)
+    assert (code, warned, len(err)) == (4, [], 1) and err[0].startswith("numeric error: ")
 
 
 def test_readme_config_table_matches_the_config_dataclasses():
